@@ -63,7 +63,10 @@ CACHE_VERSION = 5
 #: bind time.
 #: v5: generated run loops carry the progress watchdog (consecutive
 #: zero-fire cycle counter raising a diagnosed DeadlockError).
-PLAN_VERSION = 5
+#: v6: tagged kernels deposit tokens straight into wait stores, all
+#: kernels probe the cache over flat addresses, and the artifact's
+#: ``marshal`` payload is a tuple of per-chunk code objects.
+PLAN_VERSION = 6
 
 DEFAULT_ROOT = ".repro-cache"
 

@@ -155,8 +155,11 @@ class CompiledWorkload:
                 if mod is not None:
                     self._kernels[family] = mod
                     return mod
-        source = codegen.generate_source(family, self)
-        mod = codegen.compile_kernels(source, family, self.fingerprint)
+        mod = codegen.memoized_kernels(family, self.fingerprint)
+        if mod is None:
+            source = codegen.generate_source(family, self)
+            mod = codegen.compile_kernels(source, family,
+                                          self.fingerprint)
         if self.plan_cache is not None:
             self.plan_cache.put_plan(self.fingerprint, kind,
                                      mod.artifact())

@@ -34,7 +34,7 @@ into an engine's hot path -- the 142 golden records stay untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -215,7 +215,12 @@ class CacheModel:
     def _probe(self, array: str, index: int, hits: List[int],
                misses: List[int]) -> int:
         """Probe the hierarchy for one access; returns its latency."""
-        line = (self.memory.base_of(array) + index) >> self._shift
+        return self._probe_line(
+            (self.memory.base_of(array) + index) >> self._shift,
+            hits, misses)
+
+    def _probe_line(self, line: int, hits: List[int],
+                    misses: List[int]) -> int:
         sets = self._sets
         for i in range(len(sets)):
             mask = self._masks[i]
@@ -251,6 +256,56 @@ class CacheModel:
     def access_store(self, array: str, index: int) -> None:
         """Probe/update for one store (write allocate, single-cycle)."""
         self._probe(array, index, self.store_hits, self.store_misses)
+
+    def load_probe(self) -> Callable[[int], int]:
+        """``access_load`` over a *flat* word address.
+
+        The generated kernels bind ``memory.base_of(array)`` once per
+        run and call the returned probe with ``base + index``. The
+        probe returns the same latency and updates the same counters
+        and directories as :meth:`access_load`; single-level
+        hierarchies get a closure with the level's state in locals.
+        """
+        return self._flat_probe(self.load_hits, self.load_misses)
+
+    def store_probe(self) -> Callable[[int], int]:
+        """:meth:`access_store` over a flat word address (see
+        :meth:`load_probe`)."""
+        return self._flat_probe(self.store_hits, self.store_misses)
+
+    def _flat_probe(self, hits: List[int],
+                    misses: List[int]) -> Callable[[int], int]:
+        shift = self._shift
+        if len(self._sets) > 1:
+            probe_line = self._probe_line
+
+            def probe(addr: int) -> int:
+                return probe_line(addr >> shift, hits, misses)
+            return probe
+
+        # One level: the level's state lives in closure locals. Lines
+        # are non-negative, so ``line % n_sets`` is _probe_line's mask
+        # index for power-of-two set counts too.
+        sets = self._sets[0]
+        n_sets = len(sets)
+        ways = self._ways[0]
+        hit_latency = self._latencies[0]
+        miss_latency = self.miss_latency
+
+        def probe(addr: int) -> int:
+            line = addr >> shift
+            way = sets[line % n_sets]
+            if line in way:
+                hits[0] += 1
+                del way[line]
+                way[line] = None
+                return hit_latency
+            misses[0] += 1
+            if len(way) >= ways:
+                way.pop(next(iter(way)))
+            way[line] = None
+            return miss_latency
+        return probe
 
     def stats(self, instructions: int = 0) -> Dict[str, object]:
         """The ``ExecutionResult.extra["cache"]`` payload.

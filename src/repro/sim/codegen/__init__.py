@@ -38,6 +38,7 @@ from repro.sim.codegen.core import (
     compile_kernels,
     dump_kernel_source,
     load_kernels,
+    memoized_kernels,
 )
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "dump_kernel_source",
     "generate_source",
     "load_kernels",
+    "memoized_kernels",
 ]
 
 

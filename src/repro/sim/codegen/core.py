@@ -12,11 +12,22 @@ cycle loop. This module holds what they share:
 * :func:`pure_expr` -- inline expression templates for the pure
   opcodes whose :func:`~repro.ir.ops.OP_INFO` evaluators are simple
   operators (``DIV``/``MOD`` keep their checked evaluator calls);
+* :func:`emit_bind` -- the chunked layout of every module's bind
+  entry point: a ``_bind_env(E)`` prelude plus ``_bind_<k>(env)``
+  functions of at most :data:`CHUNK_NODES` nodes each, separated by
+  :data:`CHUNK_MARK` comment lines;
 * :class:`KernelModule` + :func:`compile_kernels` /
   :func:`load_kernels` -- compile generated source once per process,
-  pack it into a picklable cache artifact (source + marshalled code
-  object) and restore it, recompiling from source when the marshal
-  payload comes from a different interpreter version.
+  chunk by chunk, pack it into a picklable cache artifact (source +
+  marshalled tuple of code objects) and restore it, recompiling from
+  source when the marshal payload comes from a different interpreter
+  version.
+
+Chunked compilation bounds peak memory: ``compile()`` holds the whole
+AST of its input at once, about 100 bytes per source byte, so a
+whole-module compile of a large tagged kernel peaks at several MB of
+AST. Compiling marker-delimited chunks one at a time holds at most one
+chunk's AST; the dumped module is still the one valid source file.
 
 Generated source is a *pure deterministic function of the lowered
 plan*: no runtime object ever leaks into it. Runtime state (wait
@@ -31,8 +42,10 @@ from __future__ import annotations
 
 import marshal
 import os
+import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from types import CodeType
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.ops import Op
 
@@ -41,6 +54,12 @@ DUMP_ENV = "TYR_REPRO_DUMP_KERNELS"
 
 #: Kernel families (also the ``CompileCache`` kind suffixes).
 FAMILIES = ("tagged", "flat", "window", "vector")
+
+#: Top-level comment line that starts a separately compiled chunk.
+CHUNK_MARK = "# -- chunk --"
+
+#: Most static nodes (ops) one generated ``_bind_<k>`` defines.
+CHUNK_NODES = 24
 
 
 class Writer:
@@ -64,6 +83,17 @@ class Writer:
 
     def dedent(self) -> None:
         self._depth -= 1
+
+    def splice(self, body: "Writer") -> None:
+        """Append another writer's lines at the current indentation."""
+        pad = "    " * self._depth
+        self._lines.extend(pad + line if line else line
+                           for line in body._lines)
+
+    def chunk(self) -> None:
+        """Start a new separately compiled chunk (top level only)."""
+        assert self._depth == 0
+        self._lines.append(CHUNK_MARK)
 
     def source(self) -> str:
         return "\n".join(self._lines) + "\n"
@@ -125,6 +155,18 @@ _PURE_EXPR: Dict[Op, str] = {
 }
 
 
+def array_ref(array: object, bind: Callable[[str, str], str],
+              expr: str) -> Tuple[str, str]:
+    """``(body ref, bind-time expr)`` for a LOAD/STORE array: its
+    literal when safe, else a default argument ``array`` bound from
+    ``expr`` (the engine-table lookup). The bind-time form feeds the
+    per-run lookups, e.g. ``bases.get(<expr>, 0)`` for the flat base
+    the cache probes take."""
+    if safe_literal(array):
+        return lit(array), lit(array)
+    return bind("array", expr), expr
+
+
 def pure_expr(op: Op, args: List[str]) -> Optional[str]:
     """The inline expression for pure ``op`` over operand sources,
     or None when the op must go through its bound evaluator."""
@@ -132,6 +174,91 @@ def pure_expr(op: Op, args: List[str]) -> Optional[str]:
     if template is None:
         return None
     return template.format(*args)
+
+
+_ASSIGNED = re.compile(r"([A-Za-z_]\w*) = ")
+
+
+def chunk_items(items: Sequence, weight: Callable[[object], int]
+                = lambda item: 1) -> List[list]:
+    """Pack ``items`` in order into chunks of total ``weight`` at most
+    :data:`CHUNK_NODES` (an item heavier than that gets its own)."""
+    chunks: List[list] = []
+    cur: list = []
+    total = 0
+    for item in items:
+        wt = weight(item)
+        if cur and total + wt > CHUNK_NODES:
+            chunks.append(cur)
+            cur, total = [], 0
+        cur.append(item)
+        total += wt
+    if cur:
+        chunks.append(cur)
+    return chunks
+
+
+def emit_bind(w: Writer, name: str, doc: str, prelude: Sequence[str],
+              chunks: Sequence[Callable[[Writer], None]],
+              result: str) -> None:
+    """Emit the bind entry point ``name(E)`` as separately compiled
+    chunks.
+
+    ``prelude`` statements run once, in ``_bind_env(E)``; ``E`` and
+    every name a ``name = ...`` prelude line assigns are handed to each
+    ``_bind_<k>(env)`` as locals, where ``chunks[k]`` emits its body.
+    ``name(E)`` runs the chunks in order and returns ``result`` (an
+    expression over the prelude names).
+    """
+    names = ["E"] + [m.group(1) for m in map(_ASSIGNED.match, prelude)
+                     if m is not None]
+    unpack = f"{', '.join(names)} = env"
+    w.chunk()
+    w("def _bind_env(E):")
+    w.indent()
+    for line in prelude:
+        w(line)
+    w(f"return ({', '.join(names)})")
+    w.dedent()
+    w()
+    w()
+    for k, body in enumerate(chunks):
+        w.chunk()
+        w(f"def _bind_{k}(env):")
+        w.indent()
+        w(unpack)
+        body(w)
+        w.dedent()
+        w()
+        w()
+    w.chunk()
+    w(f"def {name}(E):")
+    w.indent()
+    w(f'"""{doc}"""')
+    w("env = _bind_env(E)")
+    for k in range(len(chunks)):
+        w(f"_bind_{k}(env)")
+    w(unpack)
+    w(f"return {result}")
+    w.dedent()
+    w()
+    w()
+
+
+def compile_chunks(source: str, filename: str) -> Tuple[CodeType, ...]:
+    """Compile ``source`` one :data:`CHUNK_MARK`-delimited chunk at a
+    time. Each chunk is padded with blank lines so line numbers in
+    tracebacks match the whole (dumped) module."""
+    codes = []
+    lines = source.split("\n")
+    start = 0
+    for end in [i for i, line in enumerate(lines)
+                if line == CHUNK_MARK] + [len(lines)]:
+        if end > start:
+            text = "\n" * start + "\n".join(lines[start:end]) + "\n"
+            codes.append(compile(text, filename, "exec"))
+        start = end
+    return tuple(codes)
 
 
 def module_name(family: str, fingerprint: str) -> str:
@@ -161,13 +288,14 @@ class KernelModule:
     ``ns`` is the exec'd module namespace; engines call
     ``ns["bind_fires"](engine)`` (or ``bind_steps`` for the vector
     family) at construction and dispatch their cycle loop through
-    ``ns["run_loop"]``.
+    ``ns["run_loop"]``. ``code`` is the tuple of per-chunk code
+    objects, executed in order into ``ns``.
     """
 
     __slots__ = ("family", "fingerprint", "source", "code", "ns")
 
     def __init__(self, family: str, fingerprint: str, source: str,
-                 code) -> None:
+                 code: Tuple[CodeType, ...]) -> None:
         self.family = family
         self.fingerprint = fingerprint
         self.source = source
@@ -175,11 +303,12 @@ class KernelModule:
         self.ns: Dict[str, object] = {
             "__name__": module_name(family, fingerprint),
         }
-        exec(code, self.ns)
+        for chunk in code:
+            exec(chunk, self.ns)
 
     def artifact(self) -> Dict[str, object]:
         """The picklable ``CompileCache`` payload: source of record
-        plus a marshalled code object as a fast path for the same
+        plus the marshalled code tuple as a fast path for the same
         interpreter version."""
         return {
             "family": self.family,
@@ -194,6 +323,14 @@ class KernelModule:
 _MODULE_MEMO: Dict[Tuple[str, str], KernelModule] = {}
 
 
+def memoized_kernels(family: str,
+                     fingerprint: str) -> Optional[KernelModule]:
+    """The module this process already compiled for ``(family,
+    fingerprint)``, if any: generated source is a pure function of the
+    plan, so a hit needs no regeneration."""
+    return _MODULE_MEMO.get((family, fingerprint))
+
+
 def compile_kernels(source: str, family: str,
                     fingerprint: str) -> KernelModule:
     """Compile generated ``source`` into a bindable module (memoized
@@ -202,8 +339,7 @@ def compile_kernels(source: str, family: str,
     mod = _MODULE_MEMO.get(key)
     if mod is None:
         dump_kernel_source(source, family, fingerprint)
-        code = compile(source, module_name(family, fingerprint),
-                       "exec")
+        code = compile_chunks(source, module_name(family, fingerprint))
         mod = KernelModule(family, fingerprint, source, code)
         _MODULE_MEMO[key] = mod
     return mod
@@ -232,11 +368,14 @@ def load_kernels(artifact: Dict[str, object], family: str,
             code = marshal.loads(artifact["marshal"])
         except (KeyError, ValueError, TypeError, EOFError):
             code = None
+        if not (isinstance(code, tuple) and code
+                and all(isinstance(c, CodeType) for c in code)):
+            code = None
     try:
         dump_kernel_source(source, family, fingerprint)
         if code is None:
-            code = compile(source, module_name(family, fingerprint),
-                           "exec")
+            code = compile_chunks(source,
+                                  module_name(family, fingerprint))
         mod = KernelModule(family, fingerprint, source, code)
     except (SyntaxError, ValueError, TypeError):
         return None

@@ -25,7 +25,9 @@ from typing import List, Tuple
 
 from repro.compiler.flatten import FlatGraph
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.codegen.core import Writer, lit, pure_expr, safe_literal
+from repro.sim.codegen.core import (Writer, array_ref, chunk_items,
+                                    emit_bind, lit, pure_expr,
+                                    safe_literal)
 
 Bind = Tuple[str, str]
 
@@ -176,8 +178,7 @@ class _Node:
                   "livebox=livebox", "depth=depth"]
         w(f"def {name}({', '.join(parts)}):")
         w.indent()
-        for line in body._lines:
-            w(line)
+        w.splice(body)
         w.dedent()
         return name
 
@@ -265,11 +266,11 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         return
 
     if op is Op.LOAD:
-        array = nd.attrs["array"]
-        if safe_literal(array):
-            arr = lit(array)
-        else:
-            arr = node._bind("array", f"attrs[{nid}]['array']")
+        # An unbound array binds base 0 and never reaches the cache
+        # probe: mem_load raises first.
+        arr, src = array_ref(nd.attrs["array"], node._bind,
+                             f"attrs[{nid}]['array']")
+        base = f"bases.get({src}, 0)"
         # Latency is a run parameter: emit both firing rules, pick at
         # bind time. Under unit latency nothing ever enters the
         # in-flight map, so the fast rule drops those checks.
@@ -327,7 +328,7 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         node.backpressure(cached, 1)
         node.pops(cached, list(range(n_in)))
         cached(f"value = mem_load({arr}, a0)")
-        cached(f"delay = cache_load({arr}, a0)")
+        cached("delay = load_probe(base + a0)")
         cached(f"if delay <= 1 and {nid} not in inflight:")
         cached.indent()
         node.push(cached, 0, "value")
@@ -351,13 +352,14 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         cached.dedent()
         cached("return True")
 
-        w("if cache_load is not None:")
+        w("if load_probe is not None:")
         w.indent()
         node.compose(
             w, cached,
             [("mem_load", "mem_load"), ("inflight", "inflight"),
-             ("metrics", "metrics"), ("cache_load", "cache_load"),
-             ("deque", "deque"), ("due_box", "due_box")])
+             ("metrics", "metrics"), ("load_probe", "load_probe"),
+             ("base", base), ("deque", "deque"),
+             ("due_box", "due_box")])
         w.dedent()
         w("elif latency <= 1:")
         w.indent()
@@ -377,11 +379,9 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         return
 
     if op is Op.STORE:
-        array = nd.attrs["array"]
-        if safe_literal(array):
-            arr = lit(array)
-        else:
-            arr = node._bind("array", f"attrs[{nid}]['array']")
+        arr, src = array_ref(nd.attrs["array"], node._bind,
+                             f"attrs[{nid}]['array']")
+        base = f"bases.get({src}, 0)"
         b = Writer()
         for p in range(n_in):
             node.operand(b, p, f"a{p}")
@@ -399,14 +399,15 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         node.backpressure(cb, 0)
         node.pops(cb, list(range(n_in)))
         cb(f"mem_store({arr}, a0, a1)")
-        cb(f"cache_store({arr}, a0)")
+        cb("store_probe(base + a0)")
         node.push(cb, 0, "0")
         cb("return True")
 
-        w("if cache_store is not None:")
+        w("if store_probe is not None:")
         w.indent()
         node.compose(w, cb, [("mem_store", "mem_store"),
-                             ("cache_store", "cache_store")])
+                             ("store_probe", "store_probe"),
+                             ("base", base)])
         w.dedent()
         w("else:")
         w.indent()
@@ -512,46 +513,51 @@ def generate(graph: FlatGraph) -> str:
     w("from repro.sim.latency import load_delay")
     w()
     w()
-    w("def bind_fires(E):")
-    w.indent()
-    w('"""Bind per-node try-fire kernels to a live QueuedEngine."""')
-    w("fifos = E._fifos")
-    w("dests = E._dests")
-    w("producers = E._producers")
-    w("imms = E._imms")
-    w("attrs = E._attrs")
-    w("results = E._results")
     # Same-cycle token visibility: a dense counter list (indexed by
     # the engine's int fresh keys) with an explicit dirty list, reset
     # by the generated run_loop each cycle. Replaces E._fresh for the
     # generated path only.
-    w(f"fresh_list = [0] * {n * stride}")
-    w("dirty = []")
-    w("dirty_append = dirty.append")
-    w("E._codegen_fresh = (fresh_list, dirty)")
-    w("nc_add = E._next_candidates.add")
-    w("nc_update = E._next_candidates.update")
-    w("livebox = E._livebox")
-    w("depth = E.queue_depth")
-    w("mem_load = E.memory.load")
-    w("mem_store = E.memory.store")
-    w("metrics = E.metrics")
-    w("inflight = E._inflight")
-    w("due_box = E._due_box")
-    w("latency = E.load_latency")
-    w("cache = E._cache")
-    w("cache_load = cache.access_load if cache is not None else None")
-    w("cache_store = cache.access_store if cache is not None else None")
+    prelude = [
+        "fifos = E._fifos",
+        "dests = E._dests",
+        "producers = E._producers",
+        "imms = E._imms",
+        "attrs = E._attrs",
+        "results = E._results",
+        f"fresh_list = [0] * {n * stride}",
+        "dirty = []",
+        "dirty_append = dirty.append",
+        "E._codegen_fresh = (fresh_list, dirty)",
+        "nc_add = E._next_candidates.add",
+        "nc_update = E._next_candidates.update",
+        "livebox = E._livebox",
+        "depth = E.queue_depth",
+        "mem_load = E.memory.load",
+        "mem_store = E.memory.store",
+        "metrics = E.metrics",
+        "inflight = E._inflight",
+        "due_box = E._due_box",
+        "latency = E.load_latency",
+        "cache = E._cache",
+        "load_probe = cache.load_probe() if cache is not None else None",
+        "store_probe = cache.store_probe() if cache is not None "
+        "else None",
+        "bases = E.memory.layout()",
+    ]
     if has_mu:
-        w("mu_state = E._mu_state")
-    w(f"fns = [None] * {n}")
-    w()
-    for nid in range(n):
-        _emit_node(w, graph, nid, stride)
-    w("return fns")
-    w.dedent()
-    w()
-    w()
+        prelude.append("mu_state = E._mu_state")
+    prelude.append(f"fns = [None] * {n}")
+
+    def chunk(nids):
+        def body(w: Writer) -> None:
+            for nid in nids:
+                _emit_node(w, graph, nid, stride)
+        return body
+
+    emit_bind(w, "bind_fires",
+              "Bind per-node try-fire kernels to a live QueuedEngine.",
+              prelude, [chunk(c) for c in chunk_items(range(n))], "fns")
+    w.chunk()
     w("def run_loop(E):")
     w.indent()
     w('"""The engine cycle loop with MetricsRecorder.sample inlined')

@@ -24,11 +24,12 @@ per-op ticks), so generated ticks are always the plain recorder.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
-from repro.sim.codegen.core import Writer, lit, pure_expr, safe_literal
+from repro.sim.codegen.core import (Writer, chunk_items, emit_bind, lit,
+                                    pure_expr, safe_literal)
 from repro.sim.vector.analysis import classify_loop
 from repro.sim.vector.plan import VecIf, VecOp, build_vec_plans
 
@@ -41,6 +42,8 @@ class _Binder:
     def __init__(self) -> None:
         self.binds: List[Bind] = []
         self._seen: set = set()
+        #: array name -> its bound base variable.
+        self.arrays: Dict[str, str] = {}
 
     def need(self, name: str, expr: str) -> str:
         if name not in self._seen:
@@ -112,13 +115,14 @@ def _emit_items(w: Writer, b: _Binder, items, mode: str,
                 w.dedent()
             elif mode == "ticked_cache":
                 b.need("stall", "stall")
-                b.need("cache_load", "cache_load")
+                b.need("load_probe", "load_probe")
                 b.need("miss_latency", "miss_latency")
+                base = _base(b, array)
                 w("tick(1, live)")
                 w(f"index = env[{ins[0]}]")
                 w(f"env[{outs[0]}] = mem_load({arr}, index)")
                 w(f"env[{outs[1]}] = 0")
-                w(f"delay = cache_load({arr}, index)")
+                w(f"delay = load_probe({base} + index)")
                 w("if delay > 1:")
                 w.indent()
                 w("stall(delay - 1, live, delay >= miss_latency)")
@@ -138,8 +142,8 @@ def _emit_items(w: Writer, b: _Binder, items, mode: str,
                 w("tick(1, live)")
             w(f"mem_store({arr}, env[{ins[0]}], env[{ins[1]}])")
             if mode == "ticked_cache":
-                b.need("cache_store", "cache_store")
-                w(f"cache_store({arr}, env[{ins[0]}])")
+                b.need("store_probe", "store_probe")
+                w(f"store_probe({_base(b, array)} + env[{ins[0]}])")
             w(f"env[{outs[0]}] = 0")
             continue
 
@@ -175,6 +179,14 @@ def _emit_items(w: Writer, b: _Binder, items, mode: str,
         if ticked:
             w("tick(1, live)")
         w(f"env[{outs[0]}] = {expr}")
+
+
+def _base(b: _Binder, array: str) -> str:
+    """Bind the flat base of ``array`` (from the run's memory layout)
+    for the cache probes. An unbound array binds 0 and never reaches
+    the probe: mem_load/mem_store raise first."""
+    name = b.arrays.setdefault(array, f"base{len(b.arrays)}")
+    return b.need(name, f"bases.get({lit(array)}, 0)")
 
 
 def _emit_spawn(w: Writer, b: _Binder, item: VecOp, ticked: bool,
@@ -239,9 +251,52 @@ def _emit_block_fn(w: Writer, name: str, plan, mode: str,
     params = ["env"] + [f"{n}={e}" for n, e in b.binds]
     w(f"def {name}({', '.join(params)}):")
     w.indent()
-    for line in body._lines:
-        w(line)
+    w.splice(body)
     w.dedent()
+    w()
+
+
+def _n_ops(items) -> int:
+    """Ops in a region tree (the chunk weight of a block)."""
+    return sum(_n_ops(item.then_items) + _n_ops(item.else_items)
+               if isinstance(item, VecIf) else 1 for item in items)
+
+
+def _emit_block(w: Writer, bi: int, bname: str, plan,
+                program: ContextProgram, ctx) -> None:
+    """One block's step functions and their table entries."""
+    w(f"# block {bname!r}")
+    has_ld = _has_load(plan.items)
+    has_st = _has_store(plan.items)
+    if has_ld or has_st:
+        _emit_block_fn(w, f"tb{bi}_fast", plan, "ticked_fast", ctx)
+        if has_ld:
+            _emit_block_fn(w, f"tb{bi}_var", plan, "ticked_var", ctx)
+        _emit_block_fn(w, f"tb{bi}_cache", plan, "ticked_cache", ctx)
+        w("if load_probe is not None:")
+        w.indent()
+        w(f"ticked[{lit(bname)}] = (tb{bi}_cache,)")
+        w.dedent()
+        if has_ld:
+            w("elif latency <= 1:")
+            w.indent()
+            w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
+            w.dedent()
+            w("else:")
+            w.indent()
+            w(f"ticked[{lit(bname)}] = (tb{bi}_var,)")
+            w.dedent()
+        else:
+            w("else:")
+            w.indent()
+            w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
+            w.dedent()
+    else:
+        _emit_block_fn(w, f"tb{bi}", plan, "ticked_fast", ctx)
+        w(f"ticked[{lit(bname)}] = (tb{bi},)")
+    if classify_loop(program.block(bname)) is not None:
+        _emit_block_fn(w, f"sb{bi}", plan, "silent", ctx)
+        w(f"silent[{lit(bname)}] = (sb{bi},)")
     w()
 
 
@@ -261,64 +316,43 @@ def generate(program: ContextProgram) -> str:
     w("from repro.sim.latency import load_delay")
     w()
     w()
-    w("def bind_steps(E):")
-    w.indent()
-    w('"""Bind whole-block step tables to a live engine; returns')
-    w('the ``(ticked, silent)`` dicts for ``_ticked``/``_silent``."""')
-    w("tick = E._tick")
-    w("stall = E._stall_scalar_load")
-    w("live = E._scalar_live")
-    w("mem_load = E.memory.load")
-    w("mem_store = E.memory.store")
-    w("latency = E.load_latency")
-    w("cache = E._cache")
-    w("cache_load = cache.access_load if cache is not None else None")
-    w("cache_store = cache.access_store if cache is not None else None")
-    w("miss_latency = cache.miss_latency if cache is not None else 0")
-    w("plans = E.plans")
-    w("vector_info = E.vector_info")
-    w("exec_block = E._exec_block")
-    w("exec_vector = E._exec_vector_loop")
-    w("ticked = {}")
-    w("silent = {}")
-    w()
-    for bi, (bname, plan) in enumerate(plans.items()):
-        w(f"# block {bname!r}")
-        has_ld = _has_load(plan.items)
-        has_st = _has_store(plan.items)
-        if has_ld or has_st:
-            _emit_block_fn(w, f"tb{bi}_fast", plan, "ticked_fast",
-                           ctx)
-            if has_ld:
-                _emit_block_fn(w, f"tb{bi}_var", plan, "ticked_var",
-                               ctx)
-            _emit_block_fn(w, f"tb{bi}_cache", plan, "ticked_cache",
-                           ctx)
-            w("if cache_load is not None:")
-            w.indent()
-            w(f"ticked[{lit(bname)}] = (tb{bi}_cache,)")
-            w.dedent()
-            if has_ld:
-                w("elif latency <= 1:")
-                w.indent()
-                w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
-                w.dedent()
-                w("else:")
-                w.indent()
-                w(f"ticked[{lit(bname)}] = (tb{bi}_var,)")
-                w.dedent()
-            else:
-                w("else:")
-                w.indent()
-                w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
-                w.dedent()
-        else:
-            _emit_block_fn(w, f"tb{bi}", plan, "ticked_fast", ctx)
-            w(f"ticked[{lit(bname)}] = (tb{bi},)")
-        if classify_loop(program.block(bname)) is not None:
-            _emit_block_fn(w, f"sb{bi}", plan, "silent", ctx)
-            w(f"silent[{lit(bname)}] = (sb{bi},)")
-        w()
-    w("return ticked, silent")
-    w.dedent()
+    prelude = [
+        "tick = E._tick",
+        "stall = E._stall_scalar_load",
+        "live = E._scalar_live",
+        "mem_load = E.memory.load",
+        "mem_store = E.memory.store",
+        "latency = E.load_latency",
+        "cache = E._cache",
+        "load_probe = cache.load_probe() if cache is not None else None",
+        "store_probe = cache.store_probe() if cache is not None "
+        "else None",
+        "miss_latency = cache.miss_latency if cache is not None else 0",
+        "bases = E.memory.layout()",
+        "plans = E.plans",
+        "vector_info = E.vector_info",
+        "exec_block = E._exec_block",
+        "exec_vector = E._exec_vector_loop",
+        "ticked = {}",
+        "silent = {}",
+    ]
+
+    def chunk(blocks):
+        def body(w: Writer) -> None:
+            for bi, bname, plan in blocks:
+                _emit_block(w, bi, bname, plan, program, ctx)
+        return body
+
+    # Blocks are emitted whole, so a chunk holds whole blocks of at
+    # most CHUNK_NODES ops in total (or one larger block).
+    blocks = [(bi, bname, plan)
+              for bi, (bname, plan) in enumerate(plans.items())]
+    emit_bind(w, "bind_steps",
+              "Bind whole-block step tables to a live engine; returns "
+              "the ``(ticked, silent)`` dicts for "
+              "``_ticked``/``_silent``.",
+              prelude,
+              [chunk(c) for c in chunk_items(
+                  blocks, lambda blk: _n_ops(blk[2].items))],
+              "ticked, silent")
     return w.source()

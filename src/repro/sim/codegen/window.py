@@ -19,11 +19,14 @@ records and the differential fuzz suite pin it.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import List, Tuple
 
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import ContextProgram
-from repro.sim.codegen.core import Writer, lit, pure_expr, safe_literal
+from repro.sim.codegen.core import (Writer, array_ref, chunk_items,
+                                    emit_bind, lit, pure_expr,
+                                    safe_literal)
 from repro.sim.window.plan import BlockPlan, OpPlan, build_plans
 
 Bind = Tuple[str, str]
@@ -123,8 +126,7 @@ class _Fn:
                   "forward=forward"]
         w(f"def {self.name}({', '.join(parts)}):")
         w.indent()
-        for line in body._lines:
-            w(line)
+        w.splice(body)
         w.dedent()
         return self.name
 
@@ -199,9 +201,11 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
         return name
 
     if op is Op.LOAD:
-        array = p.attrs["array"]
-        arr = (lit(array) if safe_literal(array)
-               else fn.bind("array", f"bops[{oid}].attrs['array']"))
+        # An unbound array binds base 0 and never reaches the cache
+        # probe: mem_load/mem_store raise first.
+        arr, src = array_ref(p.attrs["array"], fn.bind,
+                             f"bops[{oid}].attrs['array']")
+        base = f"bases.get({src}, 0)"
         # Latency is a run parameter: emit both timing rules, pick at
         # bind time (matching the interpreter's construction-time
         # split).
@@ -221,7 +225,7 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
             cached(f"livebox[0] -= {n_t}")
         cached(f"addr = {fn.operand(0)}")
         cached(f"value = mem_load({arr}, addr)")
-        cached(f"delay = cache_load({arr}, addr)")
+        cached("delay = load_probe(base + addr)")
         cached("if delay <= 1:")
         cached.indent()
         cached(f"publish(inst, {lit((oid, 0))}, value)")
@@ -263,13 +267,14 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
         var(f"bucket.append((inst, {lit((oid, 1))}, 0))")
         var.dedent()
 
-        w("if cache_load is not None:")
+        w("if load_probe is not None:")
         w.indent()
         fn.compose(
             w, cached,
             [("NO", "_NO_ENTRY"), ("mem_load", "mem_load"),
              ("publish", "publish"), ("metrics", "metrics"),
-             ("delayed", "delayed"), ("cache_load", "cache_load")])
+             ("delayed", "delayed"), ("load_probe", "load_probe"),
+             ("base", base)])
         w.dedent()
         w("elif latency <= 1:")
         w.indent()
@@ -289,9 +294,11 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
         return fn.name
 
     if op is Op.STORE:
-        array = p.attrs["array"]
-        arr = (lit(array) if safe_literal(array)
-               else fn.bind("array", f"bops[{oid}].attrs['array']"))
+        # An unbound array binds base 0 and never reaches the cache
+        # probe: mem_load/mem_store raise first.
+        arr, src = array_ref(p.attrs["array"], fn.bind,
+                             f"bops[{oid}].attrs['array']")
+        base = f"bases.get({src}, 0)"
         b = Writer()
         b(f"entry = inst.wait.pop({oid}, NO)")
         b(f"inst.fired.add({oid})")
@@ -308,14 +315,14 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
         cb(f"addr = {fn.operand(0)}")
         cb(f"value = {fn.operand(1)}")
         cb(f"mem_store({arr}, addr, value)")
-        cb(f"cache_store({arr}, addr)")
+        cb("store_probe(base + addr)")
         fn.out(cb, 0, "0", d0)
 
-        w("if cache_store is not None:")
+        w("if store_probe is not None:")
         w.indent()
         fn.compose(
             w, cb, [("NO", "_NO_ENTRY"), ("mem_store", "mem_store"),
-                    ("cache_store", "cache_store")])
+                    ("store_probe", "store_probe"), ("base", base)])
         w.dedent()
         w("else:")
         w.indent()
@@ -382,38 +389,49 @@ def generate(program: ContextProgram) -> str:
     w("_NO_ENTRY = {}")
     w()
     w()
-    w("def bind_fires(E):")
-    w.indent()
-    w('"""Bind per-block firing tables to a live WindowEngine."""')
-    w("livebox = E._livebox")
-    w("append = E._pending.append")
-    w("forward = E._forward")
-    w("mem_load = E.memory.load")
-    w("mem_store = E.memory.store")
-    w("metrics = E.metrics")
-    w("delayed = E._delayed")
-    w("publish = E._publish")
-    w("latency = E.load_latency")
-    w("cache = E._cache")
-    w("cache_load = cache.access_load if cache is not None else None")
-    w("cache_store = cache.access_store if cache is not None else None")
-    w("plans = E.plans")
-    w("tables = {}")
-    w()
-    for bi, (bname, bplan) in enumerate(plans.items()):
-        prefix = f"f{bi}"
-        w(f"# block {bname!r}")
-        w(f"plan = plans[{lit(bname)}]")
-        w("bops = plan.ops")
-        names = []
-        for p in bplan.ops:
-            names.append(_emit_fire(w, bplan, p, prefix))
-        w(f"tables[{lit(bname)}] = [{', '.join(names)}]")
-        w()
-    w("return tables")
-    w.dedent()
-    w()
-    w()
+    prelude = [
+        "livebox = E._livebox",
+        "append = E._pending.append",
+        "forward = E._forward",
+        "mem_load = E.memory.load",
+        "mem_store = E.memory.store",
+        "metrics = E.metrics",
+        "delayed = E._delayed",
+        "publish = E._publish",
+        "latency = E.load_latency",
+        "cache = E._cache",
+        "load_probe = cache.load_probe() if cache is not None else None",
+        "store_probe = cache.store_probe() if cache is not None "
+        "else None",
+        "bases = E.memory.layout()",
+        "plans = E.plans",
+        "tables = {}",
+    ]
+    # One item per op (an op-less block still needs its empty table);
+    # a block split across chunks re-fetches its plan per segment.
+    items = [(bi, bname, bplan, p)
+             for bi, (bname, bplan) in enumerate(plans.items())
+             for p in (bplan.ops or [None])]
+
+    def chunk(part):
+        def body(w: Writer) -> None:
+            for (bi, bname, bplan), group in groupby(
+                    part, key=lambda item: item[:3]):
+                ops = [p for *_, p in group if p is not None]
+                first = not ops or ops[0] is bplan.ops[0]
+                w(f"# block {bname!r}")
+                w(f"plan = plans[{lit(bname)}]")
+                w("bops = plan.ops")
+                names = [_emit_fire(w, bplan, p, f"f{bi}") for p in ops]
+                w(f"tables[{lit(bname)}] {'=' if first else '+='} "
+                  f"[{', '.join(names)}]")
+                w()
+        return body
+
+    emit_bind(w, "bind_fires",
+              "Bind per-block firing tables to a live WindowEngine.",
+              prelude, [chunk(c) for c in chunk_items(items)], "tables")
+    w.chunk()
     w("def run_loop(E):")
     w.indent()
     w('"""The engine cycle loop (already locals-accumulated in the')

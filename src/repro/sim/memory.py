@@ -45,6 +45,14 @@ class Memory:
         is computed lazily and invalidated whenever :meth:`bind`
         (re)binds an array.
         """
+        try:
+            return self.layout()[array]
+        except KeyError:
+            raise MemoryError_(f"array {array!r} not bound") from None
+
+    def layout(self) -> Dict[str, int]:
+        """Array name -> :meth:`base_of` for every bound array (the
+        memoized layout itself; do not mutate)."""
         layout = self._layout
         if layout is None:
             layout = {}
@@ -53,10 +61,7 @@ class Memory:
                 layout[name] = base
                 base += len(data)
             self._layout = layout
-        try:
-            return layout[array]
-        except KeyError:
-            raise MemoryError_(f"array {array!r} not bound") from None
+        return layout
 
     def get(self, name: str):
         return self._arrays.get(name)

@@ -112,6 +112,15 @@ class TagPool:
             return True
         return len(self._free) >= self.tags_needed(ready, spare)
 
+    def gate(self, spare: bool) -> tuple:
+        """``(free list, tags needed when ready, tags needed when
+        speculative)``: :meth:`can_pop` for one allocate site as data,
+        for the generated plan kernels. ``can_pop(ready, spare)`` is
+        ``len(free) >= (ready_need if ready else spec_need)`` (an
+        unbounded pool needs 0 of its always-empty free list)."""
+        return (self._free, self.tags_needed(True, spare),
+                self.tags_needed(False, spare))
+
     def pop(self) -> int:
         self.total_allocations += 1
         self.in_use += 1

@@ -8,7 +8,9 @@ Offline we synthesize structurally similar inputs:
   stiffness matrix; we match the banded-symmetric structure.
 * ``mesh_csr`` -- M6 is a planar triangular mesh; we use a 2-D grid
   with diagonal links (planar, bounded degree).
-* ``small_world_graph`` -- Watts-Strogatz, as in the paper [83].
+* ``small_world_graph`` -- Watts-Strogatz, as in the paper [83]
+  (networkx's construction and random stream, reimplemented: importing
+  networkx costs ~0.2 s per process, a large share of sweep set-up).
 
 All values are small integers so results are exact across machines.
 """
@@ -16,9 +18,7 @@ All values are small integers so results are exact across machines.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Set, Tuple
 
 
 def dense_matrix(rows: int, cols: int, seed: int = 0,
@@ -123,12 +123,45 @@ def sparse_vector(n: int, nnz: int, seed: int = 0
 def small_world_graph(n: int, k: int = 8, p: float = 0.1,
                       seed: int = 0) -> Tuple[List[int], List[int]]:
     """Watts-Strogatz navigable small world as CSR adjacency
-    (sorted neighbor lists), like the paper's tc input [83]."""
-    g = nx.watts_strogatz_graph(n, k, p, seed=seed)
+    (sorted neighbor lists), like the paper's tc input [83].
+
+    The graph is exactly ``networkx.watts_strogatz_graph(n, k, p,
+    seed)``: a ring lattice of ``k // 2`` neighbors per side, then
+    every lattice edge ``(u, u + j)``, in that function's order and
+    with its draws from ``random.Random(seed)``, rewired with
+    probability ``p`` to a uniformly chosen node that is neither ``u``
+    nor already adjacent (tests/workloads/test_data.py pins equality).
+    """
+    if k > n:
+        raise ValueError("k>n, choose smaller k or larger n")
+    nodes = list(range(n))
+    if k == n:                       # complete, not Watts-Strogatz
+        adj: List[Set[int]] = [set(nodes) - {u} for u in nodes]
+    else:
+        rng = random.Random(seed)
+        adj = [set() for _ in nodes]
+        for j in range(1, k // 2 + 1):
+            for u in nodes:
+                v = (u + j) % n
+                adj[u].add(v)
+                adj[v].add(u)
+        for j in range(1, k // 2 + 1):
+            for u in nodes:
+                v = (u + j) % n
+                if rng.random() < p:
+                    w = rng.choice(nodes)
+                    while w == u or w in adj[u]:
+                        w = rng.choice(nodes)
+                        if len(adj[u]) >= n - 1:
+                            break            # skip this rewiring
+                    else:
+                        adj[u].remove(v)
+                        adj[v].remove(u)
+                        adj[u].add(w)
+                        adj[w].add(u)
     indptr = [0]
     indices: List[int] = []
-    for u in range(n):
-        for w in sorted(g.neighbors(u)):
-            indices.append(w)
+    for u in nodes:
+        indices.extend(sorted(adj[u]))
         indptr.append(len(indices))
     return indptr, indices

@@ -30,6 +30,10 @@ SPECS = st.sampled_from([
     "line=4,miss=60,l1=8x2x1",
     "line=4,miss=90,l1=4x1x1,l2=16x4x6",
 ])
+#: Narrow widths keep ready entries queued across cycles; tiny tag
+#: pools add starvation and deadlock diagnoses to the comparison.
+WIDTHS = st.sampled_from([1, 2, 3, 128])
+TAGS = st.sampled_from([2, 4, 64])
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -70,11 +74,14 @@ def test_cache_none_is_the_seed_semantics(seed, machine):
     assert base.get("cache") is None
 
 
-@given(seed=SEEDS, machine=st.sampled_from(MACHINES), spec=SPECS)
+@given(seed=SEEDS, machine=st.sampled_from(MACHINES), spec=SPECS,
+       width=WIDTHS, tags=TAGS)
 @_SETTINGS
-def test_kernels_match_interpreter_under_cache(seed, machine, spec):
-    interp = _observe(seed, machine, codegen=False, cache=spec)
-    gen = _observe(seed, machine, codegen=True, cache=spec)
+def test_kernels_match_interpreter_under_cache(seed, machine, spec,
+                                               width, tags):
+    kwargs = {"cache": spec, "issue_width": width, "tags": tags}
+    interp = _observe(seed, machine, codegen=False, **kwargs)
+    gen = _observe(seed, machine, codegen=True, **kwargs)
     assert gen == interp
     if "error" not in gen:
         assert gen["cache"]["spec"].startswith(spec.split(",l")[0])

@@ -18,6 +18,12 @@ from repro.sim.memory import Memory
 from repro.workloads.randomprog import random_memory, random_module
 
 SEEDS = st.integers(min_value=0, max_value=100_000)
+#: Narrow widths leave ready entries queued across cycles (the tagged
+#: kernels deposit tokens directly into wait stores, so this is where
+#: their ordering could drift from the interpreter's); tiny tag pools
+#: add tag starvation and deadlock diagnoses to the comparison.
+WIDTHS = st.sampled_from([1, 2, 3, 128])
+TAGS = st.sampled_from([2, 4, 64])
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -50,22 +56,26 @@ def _observe(seed: int, machine: str, codegen: bool,
     return out
 
 
-@given(seed=SEEDS, machine=st.sampled_from(MACHINES))
+@given(seed=SEEDS, machine=st.sampled_from(MACHINES), width=WIDTHS,
+       tags=TAGS)
 @_SETTINGS
-def test_kernels_match_interpreter(seed, machine):
-    interp = _observe(seed, machine, codegen=False)
-    gen = _observe(seed, machine, codegen=True)
+def test_kernels_match_interpreter(seed, machine, width, tags):
+    kwargs = {"issue_width": width, "tags": tags}
+    interp = _observe(seed, machine, codegen=False, **kwargs)
+    gen = _observe(seed, machine, codegen=True, **kwargs)
     assert gen == interp
 
 
 @given(seed=SEEDS, machine=st.sampled_from(MACHINES),
-       latency=st.sampled_from([4, 8]))
+       latency=st.sampled_from([4, 8]), width=WIDTHS, tags=TAGS)
 @_SETTINGS
 def test_kernels_match_interpreter_variable_latency(seed, machine,
-                                                    latency):
-    interp = _observe(seed, machine, codegen=False,
-                      load_latency=latency)
-    gen = _observe(seed, machine, codegen=True, load_latency=latency)
+                                                    latency, width,
+                                                    tags):
+    kwargs = {"load_latency": latency, "issue_width": width,
+              "tags": tags}
+    interp = _observe(seed, machine, codegen=False, **kwargs)
+    gen = _observe(seed, machine, codegen=True, **kwargs)
     assert gen == interp
 
 

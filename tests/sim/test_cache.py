@@ -156,6 +156,43 @@ def test_model_is_deterministic():
     assert out[0] == out[1]
 
 
+@pytest.mark.parametrize("spec", [
+    "line=4,miss=60,l1=8x2x1",              # one level, masked sets
+    "line=2,miss=30,l1=3x2x1",              # one level, 3 sets
+    "line=1,miss=40,l1=1x4x1",              # one set, pure LRU
+    "line=4,miss=90,l1=4x1x1,l2=16x4x6",    # two levels
+    "line=2,miss=90,l1=5x2x1,l2=6x3x4",     # two levels, 5/6 sets
+])
+def test_flat_probes_match_access_calls(spec):
+    """The kernels' flat-address probes replay exactly what
+    ``access_load``/``access_store`` do: latency sequence, per-level
+    counters and directory state."""
+    import random
+    arrays = {"A": [0] * 37, "B": [0] * 64, "C": [0] * 5}
+    ref = _model(spec, arrays)
+    flat = _model(spec, arrays)
+    bases = flat.memory.layout()
+    load, store = flat.load_probe(), flat.store_probe()
+    rng = random.Random(spec)
+    names = sorted(arrays)
+    for _ in range(3000):
+        name = rng.choice(names)
+        index = rng.randrange(len(arrays[name]))
+        if rng.random() < 0.25:
+            ref.access_store(name, index)
+            store(bases[name] + index)
+        else:
+            assert load(bases[name] + index) == \
+                ref.access_load(name, index)
+    for attr in ("load_hits", "load_misses", "store_hits",
+                 "store_misses"):
+        assert getattr(flat, attr) == getattr(ref, attr), attr
+    assert flat._sets == ref._sets
+    assert [list(way) for level in flat._sets for way in level] == \
+        [list(way) for level in ref._sets for way in level]  # LRU order
+    assert flat.stats(1000) == ref.stats(1000)
+
+
 # -------------------------------------------------- memory regressions
 
 def test_memory_rejects_bool_indices():
@@ -172,6 +209,7 @@ def test_base_of_layout_tracks_rebinds():
     assert mem.base_of("B") == 4
     mem.bind("A", [0] * 10)                  # layout invalidated
     assert mem.base_of("B") == 10
+    assert mem.layout() == {"A": 0, "B": 10}
     with pytest.raises(MemoryError_):
         mem.base_of("missing")
 

@@ -7,17 +7,24 @@ source determinism, cache artifacts and their failure fallbacks, the
 back to the closure interpreters.
 """
 
+import ast
 import json
 import pickle
+import re
+import tracemalloc
+import types
 from dataclasses import replace
 
 import pytest
 
+from repro.errors import DeadlockError
 from repro.harness.cache import CompileCache
 from repro.harness.pool import cache_key, spec_for
 from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
 from repro.sim import codegen
-from repro.sim.codegen.core import DUMP_ENV, FAMILIES, module_name
+from repro.sim.codegen.core import (CHUNK_MARK, CHUNK_NODES, DUMP_ENV,
+                                    FAMILIES, compile_chunks,
+                                    module_name)
 from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
 from repro.sim.vector import DataParallelEngine
@@ -89,13 +96,89 @@ def test_unusable_artifacts_return_none():
                                 "tagged", "rt-junk-3") is None
 
 
+@pytest.mark.parametrize("damage", ["python", "marshal", "one-code"])
+def test_stale_artifacts_recompile_in_chunks(wl, damage):
+    """A mismatched ``python`` tag, a corrupt payload, or a pre-chunk
+    single code object all fall back to the chunked source recompile,
+    and the restored kernels still run bit-identically."""
+    import marshal
+
+    source = codegen.generate_source("tagged", wl.compiled)
+    art = codegen.compile_kernels(source, "tagged",
+                                  "rt-stale").artifact()
+    if damage == "python":
+        art["python"] = (2, 7)
+    elif damage == "marshal":
+        art["marshal"] = art["marshal"][:-7]
+    else:
+        art["marshal"] = marshal.dumps(compile(source, "m", "exec"))
+    mod = codegen.load_kernels(art, "tagged", f"rt-stale-{damage}")
+    assert mod is not None
+    assert isinstance(mod.code, tuple)
+    assert len(mod.code) == source.count(CHUNK_MARK) + 1
+    cw = CompiledWorkload(wl.compiled.program)
+    cw._kernels["tagged"] = mod
+    gen = cw.run("tyr", wl.fresh_memory(), wl.args)
+    ref = cw.run("tyr", wl.fresh_memory(), wl.args, codegen=False)
+    assert (gen.cycles, gen.instructions, gen.peak_live, gen.results) \
+        == (ref.cycles, ref.instructions, ref.peak_live, ref.results)
+
+
+def _chunks(source):
+    return source.split(CHUNK_MARK + "\n")
+
+
+def test_kernels_compile_in_bounded_chunks():
+    """Every family's bind entry point is split into ``_bind_<k>``
+    chunks of at most CHUNK_NODES nodes, compiled one by one into a
+    tuple of code objects."""
+    wl = build_workload("tc", "tiny")
+    node_line = {"tagged": r"^    # node \d+:", "flat": r"^    # node \d+:",
+                 "window": r"^    # \S+ op \d+:"}
+    for family in FAMILIES:
+        source = codegen.generate_source(family, wl.compiled)
+        mod = codegen.compile_kernels(source, family, f"chunks-{family}")
+        chunks = _chunks(source)
+        assert len(chunks) > 3, family
+        assert len(mod.code) == len(chunks), family
+        assert all(isinstance(c, types.CodeType) for c in mod.code)
+        pattern = node_line.get(family)
+        if pattern is None:
+            continue                    # vector chunks hold whole blocks
+        counts = [len(re.findall(pattern, c, re.M)) for c in chunks]
+        assert max(counts) <= CHUNK_NODES, family
+        assert sum(counts) == sum(1 for _ in re.finditer(
+            pattern, source, re.M))
+
+
+def test_chunked_compile_bounds_peak_memory():
+    """The point of chunking: compile() holds one chunk's AST at a
+    time instead of the whole module's."""
+    wl = build_workload("tc", "tiny")
+    source = codegen.generate_source("tagged", wl.compiled)
+    tracemalloc.start()
+    try:
+        compile(source, "whole", "exec")
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        compile_chunks(source, "chunked")
+        chunked = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunked * 2 < whole
+
+
 def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     monkeypatch.setenv(DUMP_ENV, str(tmp_path))
-    source = codegen.generate_source("window", wl.compiled)
-    # Fresh fingerprint: memoized modules skip the dump.
-    codegen.compile_kernels(source, "window", "dumptest0000")
-    dumped = tmp_path / "window-dumptest0000.py"
-    assert dumped.read_text() == source
+    for family in FAMILIES:
+        source = codegen.generate_source(family, wl.compiled)
+        # Fresh fingerprint: memoized modules skip the dump.
+        codegen.compile_kernels(source, family, "dumptest0000")
+        dumped = tmp_path / f"{family}-dumptest0000.py"
+        # One whole, valid module: the chunk markers are comments.
+        assert dumped.read_text() == source
+        ast.parse(dumped.read_text())
+        assert CHUNK_MARK in source
 
 
 def test_kernels_consult_plan_cache(wl, tmp_path, monkeypatch):
@@ -155,6 +238,31 @@ def test_profiled_engines_keep_interpreter_tables(wl):
     vec_prof = DataParallelEngine(cw.program, mem(), profile=True,
                                   kernels=cw.kernels("vector"))
     assert any(len(t) > 1 for t in vec_prof._ticked.values())
+
+
+@pytest.mark.parametrize("app", ["smv", "spmspv", "tc"])
+def test_tagged_kernels_match_at_narrow_widths(app):
+    """Direct deposits: width-limited cycles keep ready entries across
+    cycles and tiny pools starve allocations; the ready order (hence
+    every metric) must still match the interpreter's."""
+    wl = build_workload(app, "tiny")
+    for machine, tags in (("tyr", 4), ("tyr", 2), ("unordered", 64)):
+        for width in (1, 3):
+            for cache in (None, "line=4,miss=60,l1=4x2x1"):
+                runs = []
+                for codegen_on in (False, True):
+                    try:
+                        res = wl.compiled.run(
+                            machine, wl.fresh_memory(), wl.args,
+                            issue_width=width, tags=tags, cache=cache,
+                            sample_traces=False, codegen=codegen_on)
+                    except DeadlockError as err:
+                        runs.append(str(err))
+                        continue
+                    runs.append((res.cycles, res.instructions,
+                                 res.peak_live, res.results,
+                                 res.extra.get("cache")))
+                assert runs[0] == runs[1], (machine, tags, width, cache)
 
 
 def test_codegen_flag_matches_interpreter(wl):

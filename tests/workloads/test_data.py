@@ -62,6 +62,24 @@ def test_sparse_vector_caps_nnz():
     assert len(idx) == 5
 
 
+@pytest.mark.parametrize("n,k,p", [
+    (32, 4, 0.1), (64, 8, 0.1), (20, 6, 0.5), (12, 11, 0.9),
+    (9, 9, 0.3), (10, 4, 0.0), (10, 4, 1.0), (7, 6, 1.0), (5, 1, 0.5),
+])
+def test_small_world_graph_is_networkx_watts_strogatz(n, k, p):
+    """The in-repo generator reproduces networkx's graph exactly (same
+    construction, same random stream) for every seed."""
+    nx = pytest.importorskip("networkx")
+    for seed in range(12):
+        g = nx.watts_strogatz_graph(n, k, p, seed=seed)
+        want_ptr, want_idx = [0], []
+        for u in range(n):
+            want_idx.extend(sorted(g.neighbors(u)))
+            want_ptr.append(len(want_idx))
+        assert gen.small_world_graph(n, k, p, seed) == \
+            (want_ptr, want_idx), seed
+
+
 def test_small_world_graph_structure():
     indptr, indices = gen.small_world_graph(32, k=4, p=0.1, seed=3)
     assert len(indptr) == 33
