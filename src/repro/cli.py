@@ -92,7 +92,6 @@ def _cmd_experiment(args) -> int:
                   if h.strip())
     options = RunOptions(timeout=args.timeout, retries=args.retries,
                          run_log=args.run_log, progress=args.progress,
-                         codegen=not args.no_codegen,
                          hosts=hosts,
                          cost_logs=tuple(args.cost_log or ()))
     for name in names:
@@ -319,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append one JSON event per spec "
                             "(queued/cache-hit/started/finished/"
                             "retried/timed-out) to FILE")
-    exp_p.add_argument("--no-codegen", action="store_true",
-                       help="run the closure interpreters instead of "
-                            "the generated plan kernels (identical "
-                            "metrics; slower host speed)")
     exp_p.add_argument("--progress", action="store_true",
                        help="live done/total, cache-hit rate, and ETA "
                             "line on stderr")

@@ -61,7 +61,7 @@ import sys
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import (
@@ -74,7 +74,7 @@ from repro.errors import (
 )
 from repro.harness.cache import CompileCache, ResultCache, result_key
 from repro.harness.runlog import ProgressLine, RunLog
-from repro.harness.runner import _TAGGED_MACHINES, KERNEL_FAMILY
+from repro.harness.runner import _TAGGED_MACHINES, kernel_family_for
 from repro.sim.metrics import ExecutionResult
 from repro.workloads.registry import WorkloadInstance, build_workload
 
@@ -93,11 +93,6 @@ class RunSpec:
     config: Tuple[Tuple[str, object], ...]
     #: Verify memory/results against the numpy oracle after the run.
     check: bool = True
-    #: Dispatch through generated plan kernels (repro.sim.codegen).
-    #: Deliberately NOT part of :func:`cache_key` (which hashes only
-    #: the config): codegen is bit-identical to the interpreter, so a
-    #: cached result is valid for either setting.
-    codegen: bool = True
 
     def describe(self) -> str:
         cfg = ", ".join(f"{k}={v}" for k, v in self.config)
@@ -223,33 +218,33 @@ def precompile_specs(specs: Sequence[RunSpec],
             plan_cache.put_plan(compiled.fingerprint, kind, artifact)
 
     seen: set = set()
+    built: set = set()
     for spec in specs:
-        key = (_memo_key(spec), spec.machine)
-        if key in seen:
-            continue
-        seen.add(key)
+        memo = _memo_key(spec)
         compiled = workload_for(spec).compiled
-        if plan_cache is not None:
-            compiled.plan_cache = plan_cache
-        compiled.program  # noqa: B018 -- force the frontend lowering
-        if spec.machine in _TAGGED_MACHINES:
-            ensure(compiled, "tagged", "tagged")
-        elif spec.machine == "ordered":
-            ensure(compiled, "flat", "flat")
+        if (memo, spec.machine) not in seen:
+            seen.add((memo, spec.machine))
+            if plan_cache is not None:
+                compiled.plan_cache = plan_cache
+            compiled.program  # noqa: B018 -- force the frontend lowering
+            if spec.machine in _TAGGED_MACHINES:
+                ensure(compiled, "tagged", "tagged")
+            elif spec.machine == "ordered":
+                ensure(compiled, "flat", "flat")
         # Generated kernels: compile (or load from the store) in the
         # parent so forked workers inherit the warm module through
-        # copy-on-write instead of each re-exec'ing the source.
-        if spec.codegen:
-            family = KERNEL_FAMILY.get(spec.machine)
-            if family is not None:
-                compiled.kernels(family)
+        # copy-on-write instead of each re-exec'ing the source -- but
+        # only for specs that will run them.
+        family = kernel_family_for(spec.machine, **_config_kwargs(spec))
+        if family is not None and (memo, family) not in built:
+            built.add((memo, family))
+            compiled.kernels(family)
 
 
 def run_one(spec: RunSpec) -> ExecutionResult:
     """Execute one spec; simulation failures carry the spec context."""
     wl = workload_for(spec)
     kwargs = _config_kwargs(spec)
-    kwargs.setdefault("codegen", spec.codegen)
     try:
         if spec.check:
             return wl.run_checked(spec.machine, **kwargs)
@@ -305,10 +300,6 @@ class RunOptions:
     ``progress``
         Render a live ``done/total | cache-hit rate | ETA`` line on
         stderr.
-    ``codegen``
-        ``False`` forces every spec through the closure interpreters
-        (``--no-codegen``); metrics are identical, only host speed
-        differs, so cached results are shared across both settings.
     ``hosts``
         ``host:port`` addresses of ``tyr-repro worker-serve`` agents
         to shard the sweep across, alongside the local pool (CLI:
@@ -325,7 +316,6 @@ class RunOptions:
     retries: int = 1
     run_log: Optional[object] = None
     progress: bool = False
-    codegen: bool = True
     hosts: Tuple[str, ...] = ()
     cost_logs: Tuple[str, ...] = ()
 
@@ -622,9 +612,6 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     """
     specs = list(specs)
     opts = options or RunOptions()
-    if not opts.codegen:
-        specs = [replace(spec, codegen=False) if spec.codegen else spec
-                 for spec in specs]
     if plan_cache is None and cache is not None:
         plan_cache = CompileCache(os.path.join(cache.root, "plans"))
 

@@ -82,7 +82,7 @@ from repro.harness.cache import (
 #: Bump on any incompatible change to the frame layout or the message
 #: shapes below. Checked (with CACHE_VERSION and PLAN_VERSION) in the
 #: JSON handshake before any pickle frame is read.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _MAGIC = "tyr-repro"
 _HEADER = struct.Struct("!Q")

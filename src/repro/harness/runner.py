@@ -71,6 +71,23 @@ KERNEL_FAMILY = {
 }
 
 
+def kernel_family_for(machine: str, *, codegen: bool = True,
+                      profile: bool = False, record_trace: bool = False,
+                      track_occupancy: bool = False,
+                      **_other) -> Optional[str]:
+    """The generated-kernel family a run of ``machine`` with these
+    :meth:`CompiledWorkload.run` keyword arguments executes, or
+    ``None`` when it interprets.
+
+    Profiled, traced, and occupancy-tracked runs always interpret:
+    the hooks they need live only in the interpreters. Every other
+    run keyword is irrelevant to the choice.
+    """
+    if not codegen or profile or record_trace or track_occupancy:
+        return None
+    return KERNEL_FAMILY.get(machine)
+
+
 class CompiledWorkload:
     """A context program plus lazily compiled machine artifacts.
 
@@ -214,8 +231,12 @@ class CompiledWorkload:
         ``codegen=True`` (the default) dispatches through the
         generated plan kernels (:mod:`repro.sim.codegen`); profiled,
         traced, and occupancy-tracked runs always fall back to the
-        closure interpreters, which carry those hooks.  Metrics are
-        bit-identical either way.
+        closure interpreters, which carry those hooks (see
+        :func:`kernel_family_for`).  Metrics are bit-identical either
+        way.  ``codegen=False`` is the test/debug seam that selects
+        the reference interpreter, whose stall-attribution profile is
+        validated on every run and attached only under
+        ``profile=True``.
 
         ``max_cycles`` bounds *simulated* cycles, which does not help
         against a slow host or an engine bug that stops the cycle
@@ -236,11 +257,10 @@ class CompiledWorkload:
                     "hash-based load-delay model"
                 )
             cache_model = CacheModel(CacheConfig.coerce(cache), memory)
-        use_codegen = codegen and not (profile or record_trace
-                                       or track_occupancy)
-        kernels = (self.kernels(KERNEL_FAMILY[machine])
-                   if use_codegen and machine in KERNEL_FAMILY
-                   else None)
+        family = kernel_family_for(
+            machine, codegen=codegen, profile=profile,
+            record_trace=record_trace, track_occupancy=track_occupancy)
+        kernels = self.kernels(family) if family is not None else None
         if machine in _TAGGED_MACHINES:
             if machine == "unordered":
                 policy = UnboundedGlobalPolicy()

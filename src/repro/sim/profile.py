@@ -40,10 +40,15 @@ The taxonomy, in attribution priority order for zero-fired cycles:
 ``idle``
     Nothing fired and no tokens were live (drain/control-only cycles).
 
-Profiling is strictly opt-in: engines select a profiled cycle loop at
-``run()`` entry (tagged/queued/window) or bind profiled tick closures
-at construction (vector), so the default path carries no per-cycle
-profiling branches at all.
+The default path pays nothing for this: the generated plan kernels
+(:mod:`repro.sim.codegen`) carry no profiling hooks, and a run only
+leaves them when it asks for ``profile``, a trace, occupancy tracking,
+or ``codegen=False``. The interpreters, by contrast, have one cycle
+loop (tagged/queued/window) or one set of ticked step closures
+(vector) per family, and it *always* drives an :class:`EngineProfiler`:
+every interpreted run checks the conservation invariant in
+:meth:`EngineProfiler.finish`, while ``extra["profile"]`` is attached
+only under ``profile=True``.
 """
 
 from __future__ import annotations

@@ -67,12 +67,10 @@ class QueuedEngine:
         #: load delays come from cache probes, stores probe it too.
         self._cache = cache
         #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds the profiled loop's hit/miss stall split.
+        #: mode); bounds the interpreted loop's hit/miss stall split.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # run() selects the profiled cycle loop only when set, so the
-        # default path has no per-cycle profiling branches.
-        self._profiler = EngineProfiler() if profile else None
+        self._profile = profile
 
         n = len(graph.nodes)
         self._op = [nd.op for nd in graph.nodes]
@@ -130,15 +128,18 @@ class QueuedEngine:
             for nd in graph.nodes
         ]
         # Generated plan kernels (repro.sim.codegen) replace both the
-        # per-node closures and the cycle loop; profiled runs keep the
-        # interpreted twins because only those carry attribution hooks.
+        # per-node closures and the cycle loop; profiled runs
+        # interpret because only the interpreter carries attribution
+        # hooks, and every interpreted run drives the profiler.
         self._kernels = None
-        if kernels is not None and self._profiler is None:
+        self._profiler = None
+        if kernels is not None and not profile:
             self._kernels = kernels
             self._try_fire_fns: List[Callable[[], bool]] = (
                 kernels.ns["bind_fires"](self)
             )
         else:
+            self._profiler = EngineProfiler()
             self._try_fire_fns = [
                 self._make_try_fire(nid) for nid in range(n)
             ]
@@ -165,9 +166,7 @@ class QueuedEngine:
                 self._livebox[0] += 1
                 self._next_candidates.add(dest_id)
 
-        if self._profiler is not None:
-            completed = self._run_loop_profiled()
-        elif self._kernels is not None:
+        if self._kernels is not None:
             completed = self._kernels.ns["run_loop"](self)
         else:
             completed = self._run_loop()
@@ -179,64 +178,17 @@ class QueuedEngine:
                  "issue_width": self.issue_width}
         if self._profiler is not None:
             ops = self._op
-            extra["profile"] = self._profiler.finish(
+            profile = self._profiler.finish(
                 "ordered", self.metrics.cycles,
                 self.metrics.instructions,
                 lambda nid: f"{ops[nid].value}#{nid}",
             )
+            if self._profile:
+                extra["profile"] = profile
         return self.metrics.result("ordered", completed, results, extra)
 
     def _run_loop(self) -> bool:
-        metrics = self.metrics
-        sample = metrics.sample
-        nc = self._next_candidates
-        nc_add = nc.add
-        fresh = self._fresh
-        livebox = self._livebox
-        try_fns = self._try_fire_fns
-        issue_width = self.issue_width
-        max_cycles = self.max_cycles
-        due_box = self._due_box
-        wd_horizon = watchdog_horizon(max_cycles)
-        idle_streak = 0
-        while True:
-            # Deterministic order: ascending node id.
-            candidates = sorted(nc)
-            nc.clear()
-            fresh.clear()
-            if self._inflight and metrics.cycles >= due_box[0]:
-                self._deliver_memory_responses()
-            fired = 0
-            budget = issue_width
-            for nid in candidates:
-                if budget == 0:
-                    nc_add(nid)
-                elif try_fns[nid]():
-                    fired += 1
-                    budget -= 1
-                    # It may be able to fire again next cycle.
-                    nc_add(nid)
-            if fired == 0 and not nc:
-                if self._inflight:
-                    self._stall_for_memory()
-                    continue
-                if livebox[0] == 0:
-                    return True
-                self._raise_deadlock()
-            sample(fired, livebox[0])
-            if fired:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak >= wd_horizon and not self._inflight:
-                    self._raise_deadlock(watchdog=idle_streak)
-            if metrics.cycles >= max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={self.max_cycles}"
-                )
-
-    def _run_loop_profiled(self) -> bool:
-        """:meth:`_run_loop` with stall attribution.
+        """The interpreted cycle loop, with stall attribution.
 
         ``width_limited`` here is an approximation: a budget-skipped
         candidate is only re-checked next cycle, so it may turn out
@@ -260,6 +212,7 @@ class QueuedEngine:
         miss_until = self._miss_until if self._cache is not None \
             else None
         while True:
+            # Deterministic order: ascending node id.
             candidates = sorted(nc)
             nc.clear()
             fresh.clear()
@@ -275,6 +228,7 @@ class QueuedEngine:
                 elif try_fns[nid]():
                     fired += 1
                     budget -= 1
+                    # It may be able to fire again next cycle.
                     nc_add(nid)
                     fire_rec(nid)
             if fired == 0 and not nc:

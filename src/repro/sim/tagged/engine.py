@@ -12,15 +12,21 @@ per (static instruction, tag) until the firing rule is satisfied.
 interaction with the tag pools is what differentiates the architectures
 (see :mod:`repro.sim.tagged.tagspace`).
 
-Hot-path layout (see docs/ARCHITECTURE.md, "Simulator performance"):
-the wait-match store is *slot-indexed* -- one store per static
+Hot path: default runs execute the generated plan kernels
+(:mod:`repro.sim.codegen.tagged`), which specialize the cycle loop and
+every node's firing for one plan. This module is the reference
+interpreter they are diffed against, and the only path for profiled,
+traced and occupancy-tracked runs. Its layout (see
+docs/ARCHITECTURE.md, "Simulator performance") still avoids needless
+work: the wait-match store is *slot-indexed* -- one store per static
 instruction, keyed by tag -- instead of one dict keyed by
 ``(nid, tag)`` tuples; firing goes through a per-node dispatch table
 of closures specialized at construction (no per-firing branching on
 ``Op``); emission appends into a persistent pending buffer whose
 ``append`` is captured once per node; and trace/occupancy
-instrumentation is selected once at construction, so the default
-configuration pays nothing for it.
+instrumentation is selected once at construction. The one
+interpreted cycle loop always drives an
+:class:`~repro.sim.profile.EngineProfiler`.
 """
 
 from __future__ import annotations
@@ -96,14 +102,11 @@ class TaggedEngine:
         #: load_delay hash and stores probe it too.
         self._cache = cache
         #: First cycle index no longer stalled by the latest last-level
-        #: miss (cache mode only); the profiled loop splits its
+        #: miss (cache mode only); the interpreted loop splits its
         #: memory_stall attribution into hit/miss at this boundary.
         self._miss_until: List[int] = [0]
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        #: Opt-in stall/hotspot attribution; ``run`` selects a
-        #: profiled cycle loop iff this is set, so the default path
-        #: carries no profiling branches.
-        self._profiler = EngineProfiler() if profile else None
+        self._profile = profile
 
         self.pools: Dict[str, TagPool] = policy.build_pools(
             graph.blocks, graph.tag_overrides
@@ -192,15 +195,14 @@ class TaggedEngine:
                     graph.token_bound(t) + graph.max_inputs * n
                 )
 
-        # Instrumentation is selected exactly once, here: the fast
-        # path (the default) carries no trace/occupancy conditionals
-        # at all; pending tokens are 4-tuples. The instrumented path
-        # threads the producing event id through 5-tuples.
+        # Instrumentation is selected exactly once, here: the closure
+        # path carries no trace/occupancy conditionals at all; pending
+        # tokens are 4-tuples. The instrumented path threads the
+        # producing event id through 5-tuples.
         self._instrumented = record_trace or track_occupancy
         #: Generated plan kernels (repro.sim.codegen). Used only on
-        #: the uninstrumented, unprofiled fast path; every other
-        #: configuration falls back to the interpreted closures, which
-        #: remain the reference semantics.
+        #: the uninstrumented, unprofiled path; every other
+        #: configuration interprets, which is the reference semantics.
         self._kernels = None
         if self._instrumented:
             self._drain = self._drain_pending_instr
@@ -212,13 +214,17 @@ class TaggedEngine:
         else:
             self._drain = self._drain_pending_fast
             self._emit = self._emit_fast
-            if kernels is not None and self._profiler is None:
+            if kernels is not None and not profile:
                 self._kernels = kernels
                 self._fire_fns = kernels.ns["bind_fires"](self)
             else:
                 self._fire_fns = [
                     self._make_fire(nid) for nid in range(n)
                 ]
+        #: Stall/hotspot attribution, driven by the interpreted loop on
+        #: every interpreted run (the kernels carry no hooks).
+        self._profiler = (EngineProfiler() if self._kernels is None
+                          else None)
         #: Firing-rule selector used by the deposit drain loop.
         self._dkind: List[int] = [
             _DEP_ALLOC if op is Op.ALLOCATE
@@ -262,9 +268,7 @@ class TaggedEngine:
                 self._livebox[0] += 1
         self._apply_pending()
 
-        if self._profiler is not None:
-            completed = self._run_loop_profiled()
-        elif self._kernels is not None:
+        if self._kernels is not None:
             completed = self._kernels.ns["run_loop"](self)
         else:
             completed = self._run_loop()
@@ -289,15 +293,25 @@ class TaggedEngine:
         if self._profiler is not None:
             op = self._op
             block = self._block
-            extra["profile"] = self._profiler.finish(
+            profile = self._profiler.finish(
                 "tagged", self.metrics.cycles,
                 self.metrics.instructions,
                 lambda nid: f"{op[nid].value}@{block[nid]}#{nid}",
             )
+            if self._profile:
+                extra["profile"] = profile
         return self.metrics.result("tagged", completed, results, extra)
 
     def _run_loop(self) -> bool:
-        """The default (unprofiled) cycle loop."""
+        """The interpreted cycle loop, with stall/hotspot attribution.
+
+        The profiler only observes: every ``sample`` pairs with
+        exactly one ``end_cycle`` and every ``sample_idle`` batch with
+        one ``idle``, which is what makes the reason counts sum to
+        ``cycles``.
+        """
+        prof = self._profiler
+        end_cycle = prof.end_cycle
         metrics = self.metrics
         sample = metrics.sample
         ready = self._ready
@@ -307,59 +321,12 @@ class TaggedEngine:
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        while True:
-            if not ready:
-                if self._delayed:
-                    # Memory in flight: burn cycles until it returns.
-                    self._stall_for_memory()
-                    continue
-                if self._is_finished():
-                    return True
-                self._raise_deadlock()
-            fired = run_cycle()
-            sample(fired, livebox[0])
-            if fired:
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak >= wd_horizon and not self._delayed:
-                    self._raise_deadlock(watchdog=idle_streak)
-            if (token_bound is not None
-                    and livebox[0] > token_bound):
-                raise TokenBoundExceeded(
-                    f"live tokens {livebox[0]} exceed Theorem 2 bound "
-                    f"{token_bound}"
-                )
-            if metrics.cycles >= max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={self.max_cycles}"
-                )
-
-    def _run_loop_profiled(self) -> bool:
-        """The cycle loop with stall/hotspot attribution.
-
-        Identical timing and semantics to :meth:`_run_loop` (the
-        profiler only observes); every ``sample`` pairs with exactly
-        one ``end_cycle`` and every ``sample_idle`` batch with one
-        ``idle``, which is what makes the reason counts sum to
-        ``cycles``.
-        """
-        prof = self._profiler
-        end_cycle = prof.end_cycle
-        metrics = self.metrics
-        sample = metrics.sample
-        ready = self._ready
-        livebox = self._livebox
-        run_cycle = self._run_cycle_profiled
-        token_bound = self._token_bound
-        max_cycles = self.max_cycles
-        wd_horizon = watchdog_horizon(max_cycles)
-        idle_streak = 0
         miss_until = self._miss_until if self._cache is not None \
             else None
         while True:
             if not ready:
                 if self._delayed:
+                    # Memory in flight: burn cycles until it returns.
                     before = metrics.cycles
                     self._stall_for_memory()
                     if miss_until is None:
@@ -442,31 +409,8 @@ class TaggedEngine:
         raise DeadlockError(diagnosis.describe(), diagnosis)
 
     # ------------------------------------------------------------------
-    def _run_cycle(self) -> int:
-        fired = 0
-        budget = self.issue_width
-        ready = self._ready
-        popleft = ready.popleft
-        fire_fns = self._fire_fns
-        while ready and budget > 0:
-            nid, tag, action = popleft()
-            if action == _FIRE:
-                fire_fns[nid](tag)
-                fired += 1
-                budget -= 1
-            elif action == _ALLOC_POP:
-                if self._fire_alloc_pop(nid, tag):
-                    fired += 1
-                    budget -= 1
-            else:  # _ALLOC_CTL
-                self._fire_alloc_ctl(nid, tag)
-                fired += 1
-                budget -= 1
-        self._apply_pending()
-        return fired
-
-    def _run_cycle_profiled(self) -> Tuple[int, bool, bool]:
-        """:meth:`_run_cycle` plus attribution signals.
+    def _run_cycle(self) -> Tuple[int, bool, bool]:
+        """Issue up to ``issue_width`` ready entries, then deposit.
 
         Returns ``(fired, width_limited, tag_blocked)``:
         ``width_limited`` when ready work remained after the issue

@@ -84,11 +84,7 @@ class DataParallelEngine:
         self.load_latency = load_latency
         self.max_cycles = max_cycles
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # Must be set before the closure compilation below: ticked
-        # step closures bind either the plain or the profiled tick at
-        # construction, so the default path carries no profiling
-        # branches.
-        self._profiler = EngineProfiler() if profile else None
+        self._profile = profile
         self.vector_info: Dict[str, Optional[VectorInfo]] = {
             name: classify_loop(block)
             for name, block in program.blocks.items()
@@ -107,13 +103,16 @@ class DataParallelEngine:
         #: block name -> silent step closures (vector bodies only).
         self._silent: Dict[str, Tuple[Callable, ...]] = {}
         # Generated kernels replace both tables with whole-block
-        # functions; profiled runs always interpret (the profiler
-        # wraps the per-op ticks).
-        if kernels is not None and self._profiler is None:
+        # functions; profiled runs always interpret, and every
+        # interpreted run drives the profiler (it wraps the per-op
+        # ticks, so it must exist before the closures compile).
+        self._profiler = None
+        if kernels is not None and not profile:
             self._ticked, self._silent = (
                 kernels.ns["bind_steps"](self)
             )
         else:
+            self._profiler = EngineProfiler()
             for name, plan in self.plans.items():
                 self._ticked[name] = self._compile_items(
                     plan.items, ticked=True, block=name)
@@ -139,10 +138,12 @@ class DataParallelEngine:
             ),
         }
         if self._profiler is not None:
-            extra["profile"] = self._profiler.finish(
+            profile = self._profiler.finish(
                 "datapar", self.metrics.cycles,
                 self.metrics.instructions,
             )
+            if self._profile:
+                extra["profile"] = profile
         return self.metrics.result("datapar", True, tuple(results),
                                    extra)
 
@@ -231,12 +232,10 @@ class DataParallelEngine:
                      for item in items)
 
     def _op_tick(self, op: Op, op_id: int, block: str) -> Callable:
-        """The metrics tick a ticked step closure binds: the plain
-        recorder, or a per-op profiled wrapper (fired samples are
+        """The metrics tick a ticked step closure binds: a per-op
+        attributing wrapper around :meth:`_tick` (fired samples are
         ``fired`` cycles of this static op; zero-fired samples only
         occur inside a load's latency spin, hence ``memory_stall``)."""
-        if self._profiler is None:
-            return self._tick
         prof = self._profiler
         base = self._tick
         key = f"{op.value}@{block}#{op_id}"
@@ -515,7 +514,8 @@ class DataParallelEngine:
                                min(iterations, self.lanes))
             return results
 
-        # Profiled twin: the body is attributed to one aggregate
+        # Interpreted runs (the kernels call this method with no
+        # profiler): the body is attributed to one aggregate
         # static node per loop (lanes co-issue the same op).  A batch
         # with iterations left over was limited by the lane count.
         key = f"<vector-body>@{plan.name}"

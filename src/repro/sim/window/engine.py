@@ -127,15 +127,13 @@ class WindowEngine:
         #: load delays come from cache probes, stores probe it too.
         self._cache = cache
         #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds the profiled loop's hit/miss stall split.
+        #: mode); bounds the interpreted loop's hit/miss stall split.
         self._miss_until: List[int] = [0]
         self.machine_name = machine_name or (
             "vn" if window == 1 and issue_width == 1 else "seqdf"
         )
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
-        # run() selects the profiled cycle loop only when set, so the
-        # default path has no per-cycle profiling branches.
-        self._profiler = EngineProfiler() if profile else None
+        self._profile = profile
         self.plans = build_plans(program)
 
         self._next_iid = 0
@@ -163,15 +161,17 @@ class WindowEngine:
         #: block name -> list of firing closures, one per op (shared
         #: by every dynamic instance of the block).  With generated
         #: kernels the tables come from the kernel module instead;
-        #: profiled runs always interpret (the profiler wraps the
-        #: closure path).
+        #: profiled runs always interpret, and every interpreted run
+        #: drives the profiler.
         self._kernels = None
-        if kernels is not None and self._profiler is None:
+        self._profiler = None
+        if kernels is not None and not profile:
             self._kernels = kernels
             self._fire_tables: Dict[str, List[Callable]] = (
                 kernels.ns["bind_fires"](self)
             )
         else:
+            self._profiler = EngineProfiler()
             self._fire_tables = {
                 name: [self._make_fire(plan, p) for p in plan.ops]
                 for name, plan in self.plans.items()
@@ -203,9 +203,7 @@ class WindowEngine:
         self._register_results(root)
         self._stack.append([root, 0])
 
-        if self._profiler is not None:
-            completed = self._run_loop_profiled()
-        elif self._kernels is not None:
+        if self._kernels is not None:
             completed = self._kernels.ns["run_loop"](self)
         else:
             completed = self._run_loop()
@@ -219,10 +217,12 @@ class WindowEngine:
                  "fetch_stall_decider_cycles": self._stall_decider,
                  "fetch_stall_window_cycles": self._stall_window}
         if self._profiler is not None:
-            extra["profile"] = self._profiler.finish(
+            profile = self._profiler.finish(
                 self.machine_name, self.metrics.cycles,
                 self.metrics.instructions, self._node_label,
             )
+            if self._profile:
+                extra["profile"] = profile
         return self.metrics.result(self.machine_name, completed, results,
                                    extra)
 
@@ -232,184 +232,11 @@ class WindowEngine:
         return f"{p.op.value}@{block}#{op_id}"
 
     def _run_loop(self) -> bool:
-        # The cycle loop is fully inlined (issue, retire, fetch,
-        # deposit, metrics sampling): window machines fire ~1
-        # instruction per cycle (vN literally so), which makes
-        # per-cycle call and attribute overhead -- not the firing
-        # closures -- the host bottleneck.
-        completed = False
-        metrics = self.metrics
-        livebox = self._livebox
-        ready = self._ready
-        popleft = ready.popleft
-        ready_append = ready.append
-        pending = self._pending
-        retire = self._retire
-        retire_popleft = retire.popleft
-        delayed = self._delayed
-        fetch = self._fetch
-        publish = self._publish
-        status = self._op_status
-        maybe_release = self._maybe_release
-        issue_width = self.issue_width
-        fetch_width = self.fetch_width
-        max_cycles = self.max_cycles
-        wd_horizon = watchdog_horizon(max_cycles)
-        idle_streak = 0
-        # Metrics are accumulated in locals and committed in the
-        # ``finally`` below.  Only variable-latency load closures read
-        # ``metrics.cycles`` mid-run (to schedule maturity), so the
-        # counter is synced back each cycle exactly in that mode --
-        # cache probes schedule maturities the same way.
-        sync_cycles = self.load_latency > 1 or self._cache is not None
-        traces = metrics.sample_traces
-        ipc_append = metrics.ipc_trace.append
-        live_append = metrics.live_trace.append
-        cycles = metrics.cycles
-        instructions = metrics.instructions
-        peak_live = metrics._peak_live
-        live_sum = metrics._live_sum
-        try:
-            while True:
-                # Issue: fire ready ops up to the shared width.
-                fired = 0
-                if ready:
-                    budget = issue_width
-                    while ready and budget > 0:
-                        inst, op_id = popleft()
-                        inst.fires[op_id](inst)
-                        fired += 1
-                        budget -= 1
-                # Retire completed head-of-window slices, in fetch
-                # order.  An op's "not pending" status is monotone
-                # (outputs are write-once and a false guard stays
-                # false), so each in-flight entry ``[inst, slice ops,
-                # scan pos]`` re-checks only from its scan position.
-                progressed = False
-                while retire:
-                    entry = retire[0]
-                    inst = entry[0]
-                    ops = entry[1]
-                    pos = entry[2]
-                    n = len(ops)
-                    fired_set = inst.fired
-                    while pos < n:
-                        oid = ops[pos]
-                        if oid in fired_set:
-                            pos += 1
-                            continue
-                        if (not inst.plan.guarded[oid]
-                                or status(inst, oid) == "pending"):
-                            break
-                        pos += 1  # guard resolved untaken
-                    if pos < n:
-                        entry[2] = pos
-                        break
-                    retire_popleft()
-                    inst.live_slices -= 1
-                    progressed = True
-                    maybe_release(inst)
-                # Fetch along the von Neumann block order.
-                fc = fetch_width
-                while fc:
-                    if not fetch():
-                        break
-                    progressed = True
-                    fc -= 1
-                # Deposit: matured loads, then this cycle's tokens.
-                # The one-cycle buffer is what keeps values fired at
-                # cycle N invisible until N+1.  Each token carries its
-                # consumer descriptor ``c = (op_id, port, kind,
-                # n_ports, slice_index, merge_lit)``
-                # (:attr:`repro.sim.window.plan.BlockPlan.consumers`).
-                if delayed:
-                    matured = delayed.pop(cycles, None)
-                    if matured:
-                        for inst, key, value in matured:
-                            publish(inst, key, value)
-                if pending:
-                    # Deposits never publish, so nothing appends to
-                    # ``pending`` while it drains; iterate in place
-                    # and clear.
-                    for inst, c, value in pending:
-                        op_id = c[0]
-                        wait = inst.wait
-                        entry = wait.get(op_id)
-                        if entry is None:
-                            wait[op_id] = entry = {c[1]: value}
-                            n_have = 1
-                        else:
-                            entry[c[1]] = value
-                            n_have = len(entry)
-                        if c[2]:  # DEP_MERGE
-                            if 0 not in entry:
-                                continue
-                            want = 1 if entry[0] else 2
-                            if want not in entry and not c[5][want - 1]:
-                                continue
-                        elif n_have != c[3]:
-                            continue
-                        if c[4] in inst.fetched:
-                            ready_append((inst, op_id))
-                        else:
-                            inst.armed.add(op_id)
-                    del pending[:]
-                if fired == 0 and not progressed and not ready:
-                    idle_streak += 1
-                    if idle_streak >= wd_horizon and (
-                            not delayed or min(delayed) < cycles):
-                        # Either quiesced-but-live for the whole
-                        # horizon, or waiting on a load whose due
-                        # cycle already passed (stale bookkeeping):
-                        # wedged either way.
-                        metrics.cycles = cycles
-                        self._raise_deadlock(watchdog=idle_streak)
-                    if delayed:
-                        # Idle cycle waiting on in-flight loads.
-                        cycles += 1
-                        metrics.cycles = cycles
-                        live = livebox[0]
-                        if live > peak_live:
-                            peak_live = live
-                        live_sum += live
-                        if traces:
-                            ipc_append(0)
-                            live_append(live)
-                        continue
-                    if self._is_finished():
-                        completed = True
-                        break
-                    self._raise_deadlock()
-                else:
-                    idle_streak = 0
-                cycles += 1
-                if sync_cycles:
-                    metrics.cycles = cycles
-                instructions += fired
-                live = livebox[0]
-                if live > peak_live:
-                    peak_live = live
-                live_sum += live
-                if traces:
-                    ipc_append(fired)
-                    live_append(live)
-                if cycles >= max_cycles:
-                    raise SimulationError(
-                        f"exceeded max_cycles={self.max_cycles}"
-                    )
-        finally:
-            metrics.cycles = cycles
-            metrics.instructions = instructions
-            metrics._peak_live = peak_live
-            metrics._live_sum = live_sum
-        return completed
+        """The interpreted cycle loop, with stall attribution.
 
-    def _run_loop_profiled(self) -> bool:
-        """:meth:`_run_loop` with stall attribution.
-
-        Samples through :class:`MetricsRecorder` directly instead of
-        the locals-accumulation fast path; cycle/instruction totals
-        are identical, only host speed differs.
+        Samples through :class:`MetricsRecorder` directly; the
+        generated kernels accumulate metrics in locals instead, with
+        identical cycle/instruction totals.
         """
         prof = self._profiler
         end_cycle = prof.end_cycle
@@ -449,6 +276,10 @@ class WindowEngine:
                     fire_rec((inst.plan.name, op_id))
                 width_limited = budget == 0 and bool(ready)
             # Retire completed head-of-window slices, in fetch order.
+            # An op's "not pending" status is monotone (outputs are
+            # write-once and a false guard stays false), so each
+            # in-flight entry ``[inst, slice ops, scan pos]`` re-checks
+            # only from its scan position.
             progressed = False
             while retire:
                 entry = retire[0]
@@ -480,13 +311,21 @@ class WindowEngine:
                     break
                 progressed = True
                 fc -= 1
-            # Deposit: matured loads, then this cycle's tokens.
+            # Deposit: matured loads, then this cycle's tokens.  The
+            # one-cycle buffer is what keeps values fired at cycle N
+            # invisible until N+1.  Each token carries its consumer
+            # descriptor ``c = (op_id, port, kind, n_ports,
+            # slice_index, merge_lit)``
+            # (:attr:`repro.sim.window.plan.BlockPlan.consumers`).
             if delayed:
                 matured = delayed.pop(metrics.cycles, None)
                 if matured:
                     for inst, key, value in matured:
                         publish(inst, key, value)
             if pending:
+                # Deposits never publish, so nothing appends to
+                # ``pending`` while it drains; iterate in place and
+                # clear.
                 for inst, c, value in pending:
                     op_id = c[0]
                     wait = inst.wait
@@ -517,8 +356,9 @@ class WindowEngine:
                         or min(delayed) < metrics.cycles):
                     self._raise_deadlock(watchdog=idle_streak)
                 if delayed:
-                    # Idle cycle waiting on in-flight loads (the fast
-                    # loop skips the max_cycles check here; mirror it).
+                    # Idle cycle waiting on in-flight loads (the
+                    # kernels skip the max_cycles check here; mirror
+                    # them).
                     sample(0, livebox[0])
                     if miss_until is None:
                         end_cycle("memory_stall")
@@ -753,7 +593,7 @@ class WindowEngine:
 
             if self._cache is not None:
                 # Cache mode: the probe decides the delay; the miss
-                # box lets the profiled loop split memory stalls into
+                # box lets the interpreted loop split memory stalls into
                 # hit vs. last-level-miss cycles.
                 publish = self._publish
                 cache_load = self._cache.access_load

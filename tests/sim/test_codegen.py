@@ -13,18 +13,18 @@ import pickle
 import re
 import tracemalloc
 import types
-from dataclasses import replace
 
 import pytest
 
 from repro.errors import DeadlockError
 from repro.harness.cache import CompileCache
-from repro.harness.pool import cache_key, spec_for
+from repro.harness.pool import precompile_specs, spec_for
 from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
 from repro.sim import codegen
 from repro.sim.codegen.core import (CHUNK_MARK, CHUNK_NODES, DUMP_ENV,
                                     FAMILIES, compile_chunks,
                                     module_name)
+from repro.sim.profile import RunProfile
 from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
 from repro.sim.vector import DataParallelEngine
@@ -265,24 +265,58 @@ def test_tagged_kernels_match_at_narrow_widths(app):
                 assert runs[0] == runs[1], (machine, tags, width, cache)
 
 
-def test_codegen_flag_matches_interpreter(wl):
+def test_codegen_flag_matches_interpreter(wl, monkeypatch):
+    """One machine per family: the interpreter matches the kernels,
+    validates its profile on every run, and attaches it only under
+    ``profile=True``."""
+    validated = []
+    original = RunProfile.validate
+
+    def counting_validate(self):
+        validated.append(self.machine)
+        original(self)
+    monkeypatch.setattr(RunProfile, "validate", counting_validate)
     for machine in ("tyr", "ordered", "vn", "datapar"):
+        del validated[:]
         interp = wl.compiled.run(machine, wl.fresh_memory(), wl.args,
                                  codegen=False)
+        assert validated, machine
+        assert "profile" not in interp.extra
         gen = wl.compiled.run(machine, wl.fresh_memory(), wl.args,
                               codegen=True)
+        assert "profile" not in gen.extra
         assert (gen.cycles, gen.instructions, gen.results) == \
             (interp.cycles, interp.instructions, interp.results)
+        prof = wl.compiled.run(machine, wl.fresh_memory(), wl.args,
+                               codegen=False, profile=True)
+        profile = prof.extra["profile"]
+        profile.validate()
+        assert (profile.cycles, profile.instructions) == \
+            (interp.cycles, interp.instructions)
 
 
 # --------------------------------------------------------------- harness
 
 
-def test_cache_key_ignores_codegen(wl):
-    """Results are bit-identical either way, so a cached result must
-    serve both settings."""
-    spec = spec_for(wl, "tyr", {"tags": 8})
-    assert cache_key(spec) == cache_key(replace(spec, codegen=False))
+def test_precompile_skips_kernels_for_interpreted_specs(wl, monkeypatch):
+    """Profiled and occupancy-tracked specs interpret, so precompiling
+    them must never build kernels; default specs still get theirs,
+    once per family."""
+    monkeypatch.setattr(
+        CompiledWorkload, "kernels",
+        lambda self, family: pytest.fail("kernels requested for a "
+                                         "spec that interprets"))
+    machines = ("tyr", "ordered", "seqdf", "datapar")
+    for config in ({"profile": True}, {"track_occupancy": True}):
+        precompile_specs([spec_for(wl, m, config) for m in machines])
+    requested = []
+    monkeypatch.setattr(CompiledWorkload, "kernels",
+                        lambda self, family: requested.append(family))
+    precompile_specs([spec_for(wl, "tyr", {"profile": True}),
+                      spec_for(wl, "tyr", {"tags": 8}),
+                      spec_for(wl, "kbounded"),
+                      spec_for(wl, "ordered", {"track_occupancy": True})])
+    assert requested == ["tagged"]
 
 
 def test_every_machine_has_a_family(wl):
