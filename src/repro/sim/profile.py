@@ -249,6 +249,22 @@ class EngineProfiler:
             split["hit"] = split.get("hit", 0) + (n_cycles
                                                  - miss_cycles)
 
+    def memory_stall(self, start: int, end: int,
+                     miss_until: Optional[List[int]]) -> None:
+        """Batched memory stall over the cycles ``[start, end)``.
+
+        Without a cache model (``miss_until`` is ``None``) every cycle
+        is a plain ``memory_stall``; in cache mode the cycles before
+        ``miss_until[0]`` -- the first cycle no longer stalled by the
+        latest last-level miss -- are misses and the rest hits.
+        """
+        n = end - start
+        if miss_until is None:
+            self.idle("memory_stall", n)
+        else:
+            miss = min(end, miss_until[0]) - start
+            self.idle_memory(n, max(0, min(n, miss)))
+
     def end_cycle_memory(self, miss: bool) -> None:
         """Per-cycle memory stall with its hit/miss class (cache
         mode); otherwise identical to ``end_cycle("memory_stall")``."""

@@ -235,14 +235,8 @@ class QueuedEngine:
                 if self._inflight:
                     before = metrics.cycles
                     self._stall_for_memory()
-                    if miss_until is None:
-                        prof.idle("memory_stall",
-                                  metrics.cycles - before)
-                    else:
-                        n = metrics.cycles - before
-                        miss = min(metrics.cycles, miss_until[0]) \
-                            - before
-                        prof.idle_memory(n, max(0, min(n, miss)))
+                    prof.memory_stall(before, metrics.cycles,
+                                      miss_until)
                     continue
                 if livebox[0] == 0:
                     return True

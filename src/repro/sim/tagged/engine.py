@@ -22,9 +22,12 @@ work: the wait-match store is *slot-indexed* -- one store per static
 instruction, keyed by tag -- instead of one dict keyed by
 ``(nid, tag)`` tuples; firing goes through a per-node dispatch table
 of closures specialized at construction (no per-firing branching on
-``Op``); emission appends into a persistent pending buffer whose
-``append`` is captured once per node; and trace/occupancy
-instrumentation is selected once at construction. The one
+``Op``); and emission appends ``(dest, port, tag, data)`` tokens into
+a persistent pending buffer whose ``append`` is captured once per
+node. Those closures are the only per-node firing code: trace and
+occupancy instrumentation wrap them at construction, observing the
+wait-store entry a firing consumes and the slice of the pending
+buffer it appends, so an uninstrumented run calls them bare. The one
 interpreted cycle loop always drives an
 :class:`~repro.sim.profile.EngineProfiler`.
 """
@@ -32,7 +35,7 @@ interpreted cycle loop always drives an
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError, TokenBoundExceeded
 from repro.compiler.graph import TaggedGraph
@@ -170,9 +173,10 @@ class TaggedEngine:
         # Optional dynamic-execution-graph recording (paper Figs. 4/5):
         # every firing becomes an event; token flows become edges.
         self.trace = ExecutionTrace() if record_trace else None
-        self._cur_event = -1  # event id of the instruction now firing
-        #: (nid, tag) -> {port: producing event id} (tracing only).
-        self._wait_src: Dict[Tuple[int, object], Dict[int, int]] = {}
+        #: (dest nid, port, tag) -> event id of the firing that emitted
+        #: the token bound there (tracing only); the consuming firing
+        #: pops the entries of the ports it consumes.
+        self._producers: Dict[Tuple[int, int, object], int] = {}
 
         # Optional per-tag-space wait-match store occupancy tracking
         # (the paper's "Problem #2": token store implementability).
@@ -195,32 +199,29 @@ class TaggedEngine:
                     graph.token_bound(t) + graph.max_inputs * n
                 )
 
-        # Instrumentation is selected exactly once, here: the closure
-        # path carries no trace/occupancy conditionals at all; pending
-        # tokens are 4-tuples. The instrumented path threads the
-        # producing event id through 5-tuples.
-        self._instrumented = record_trace or track_occupancy
         #: Generated plan kernels (repro.sim.codegen). Used only on
-        #: the uninstrumented, unprofiled path; every other
-        #: configuration interprets, which is the reference semantics.
+        #: unprofiled, uninstrumented runs; every other configuration
+        #: interprets, which is the reference semantics.
         self._kernels = None
-        if self._instrumented:
-            self._drain = self._drain_pending_instr
-            self._emit = self._emit_instr
-            self._fire_fns: List[Callable] = [
-                (lambda tag, nid=nid: self._fire_instr(nid, tag))
-                for nid in range(n)
-            ]
+        if kernels is not None and not (profile or record_trace
+                                        or track_occupancy):
+            self._kernels = kernels
+            self._fire_fns = kernels.ns["bind_fires"](self)
         else:
-            self._drain = self._drain_pending_fast
-            self._emit = self._emit_fast
-            if kernels is not None and not profile:
-                self._kernels = kernels
-                self._fire_fns = kernels.ns["bind_fires"](self)
-            else:
-                self._fire_fns = [
-                    self._make_fire(nid) for nid in range(n)
-                ]
+            # The per-node closures are the only firing code. Trace and
+            # occupancy instrumentation is selected once, here, as a
+            # thin wrapper around each closure (and, for tracing,
+            # around the two allocate actions); an uninstrumented run
+            # calls the bare closures.
+            fires = [self._make_fire(nid) for nid in range(n)]
+            if track_occupancy:
+                fires = [self._count_occupancy(nid, fire)
+                         for nid, fire in enumerate(fires)]
+            if record_trace:
+                fires = [self._trace_fire(nid, fire)
+                         for nid, fire in enumerate(fires)]
+                self._trace_allocates()
+            self._fire_fns: List[Callable] = fires
         #: Stall/hotspot attribution, driven by the interpreted loop on
         #: every interpreted run (the kernels carry no hooks).
         self._profiler = (EngineProfiler() if self._kernels is None
@@ -261,10 +262,7 @@ class TaggedEngine:
         pending = self._pending
         for value, dests in zip(args, self.graph.entry_sources):
             for dest_id, port in dests:
-                if self._instrumented:
-                    pending.append((dest_id, port, ROOT_TAG, value, -1))
-                else:
-                    pending.append((dest_id, port, ROOT_TAG, value))
+                pending.append((dest_id, port, ROOT_TAG, value))
                 self._livebox[0] += 1
         self._apply_pending()
 
@@ -329,14 +327,8 @@ class TaggedEngine:
                     # Memory in flight: burn cycles until it returns.
                     before = metrics.cycles
                     self._stall_for_memory()
-                    if miss_until is None:
-                        prof.idle("memory_stall",
-                                  metrics.cycles - before)
-                    else:
-                        n = metrics.cycles - before
-                        miss = min(metrics.cycles, miss_until[0]) \
-                            - before
-                        prof.idle_memory(n, max(0, min(n, miss)))
+                    prof.memory_stall(before, metrics.cycles,
+                                      miss_until)
                     continue
                 if self._is_finished():
                     return True
@@ -397,7 +389,7 @@ class TaggedEngine:
                 f"exceeded max_cycles={self.max_cycles}"
             )
         self._pending.extend(self._delayed.pop(due))
-        self._drain()
+        self._drain_pending_fast()
 
     # ------------------------------------------------------------------
     def _is_finished(self) -> bool:
@@ -452,7 +444,7 @@ class TaggedEngine:
         if matured:
             self._pending.extend(matured)
         if self._pending:
-            self._drain()
+            self._drain_pending_fast()
         if self._dirty_pools:
             dirty = self._dirty_pools[:]
             del self._dirty_pools[:]
@@ -460,13 +452,15 @@ class TaggedEngine:
                 self._wake_waiters(pool)
 
     def _drain_pending_fast(self) -> None:
-        """Deposit every buffered token (fast path, 4-tuples).
+        """Deposit every buffered token.
 
         ``_dep`` packs each node's firing-rule selector, wait-store
         slot, token-port count, and immediates into one tuple so a
         deposit costs a single table fetch.
         """
         pending = self._pending
+        if self._track_occupancy:
+            self._count_deposits()
         dep = self._dep
         ready_append = self._ready.append
         for nid, port, tag, data in pending:
@@ -494,16 +488,8 @@ class TaggedEngine:
                 self._deposit_alloc(nid, port, tag)
         del pending[:]
 
-    def _drain_pending_instr(self) -> None:
-        """Deposit every buffered token (instrumented, 5-tuples)."""
-        pending = self._pending[:]
-        del self._pending[:]
-        for nid, port, tag, data, src in pending:
-            self._deposit_instr(nid, port, tag, data, src)
-
-    # ------------------------------------------------------------------
-    def _emit_fast(self, nid: int, port: int, tag: object,
-                   data: object) -> None:
+    def _emit(self, nid: int, port: int, tag: object,
+              data: object) -> None:
         edges = self._edges[nid][port]
         if not edges:
             return  # token discarded (no consumers)
@@ -511,45 +497,6 @@ class TaggedEngine:
         for dest_id, dest_port in edges:
             append((dest_id, dest_port, tag, data))
         self._livebox[0] += len(edges)
-
-    def _emit_instr(self, nid: int, port: int, tag: object,
-                    data: object) -> None:
-        edges = self._edges[nid][port]
-        if not edges:
-            return
-        append = self._pending.append
-        src = self._cur_event
-        for dest_id, dest_port in edges:
-            append((dest_id, dest_port, tag, data, src))
-        self._livebox[0] += len(edges)
-
-    def _deposit_instr(self, nid: int, port: int, tag: object,
-                       data: object, src: int = -1) -> None:
-        op = self._op[nid]
-        if self.trace is not None and src >= 0:
-            self._wait_src.setdefault((nid, tag), {})[port] = src
-        if op is Op.ALLOCATE:
-            self._deposit_alloc(nid, port, tag)
-            return
-        store = self._wait[nid]
-        entry = store.get(tag)
-        if entry is None:
-            entry = {}
-            store[tag] = entry
-        entry[port] = data
-        if self._track_occupancy:
-            block = self._block[nid]
-            occ = self._occupancy[block] + 1
-            self._occupancy[block] = occ
-            if occ > self._peak_occupancy[block]:
-                self._peak_occupancy[block] = occ
-        if op is Op.MERGE:
-            if 0 in entry:
-                want = 1 if entry[0] else 2
-                if want in entry or want in self._imms[nid]:
-                    self._ready.append((nid, tag, _FIRE))
-        elif len(entry) == self._n_token_ports[nid]:
-            self._ready.append((nid, tag, _FIRE))
 
     # ------------------------------------------------------------------
     # Allocate state machine (paper Sec. IV-A firing rule)
@@ -592,12 +539,6 @@ class TaggedEngine:
                 st.waiting = True
                 self._waiters[id(pool)].append(key)
             return False
-        if self.trace is not None:
-            self._cur_event = self.trace.record(
-                self.metrics.cycles, nid, self._block[nid],
-                "allocate", tag,
-                self._wait_src.pop((nid, tag), {}),
-            )
         new_tag = pool.pop()
         if pool.capacity is not None:
             pool.holders[new_tag] = (nid, tag)
@@ -948,104 +889,130 @@ class TaggedEngine:
         return fire_pure
 
     # ------------------------------------------------------------------
-    # Instrumented firing (trace / occupancy builds only)
+    # Instrumentation: wrappers around the firing closures, selected
+    # once at construction
     # ------------------------------------------------------------------
-    def _fire_instr(self, nid: int, tag: object) -> None:
-        op = self._op[nid]
-        if self.trace is not None:
-            self._cur_event = self.trace.record(
-                self.metrics.cycles, nid, self._block[nid],
-                self._op[nid].value, tag,
-                self._wait_src.pop((nid, tag), {}),
-            )
-        entry = self._wait[nid].pop(tag)
-        self._livebox[0] -= len(entry)
-        if self._track_occupancy:
-            self._occupancy[self._block[nid]] -= len(entry)
-        imms = self._imms[nid]
+    def _count_occupancy(self, nid: int,
+                         fire: Callable[[object], None]
+                         ) -> Callable[[object], None]:
+        """Wrap ``fire`` to take its entry's tokens out of the block's
+        store occupancy before the closure pops the entry (deposits
+        are added per drain by :meth:`_count_deposits`)."""
+        occupancy = self._occupancy
+        block = self._block[nid]
+        store = self._wait[nid]
 
-        if op is Op.MERGE:
-            d = entry[0]
-            chosen = 1 if d else 2
-            data = entry[chosen] if chosen in entry else imms[chosen]
-            self._emit(nid, 0, tag, data)
-            return
-        if op is Op.STEER:
-            d = entry.get(0, imms.get(0))
-            value = entry.get(1, imms.get(1))
-            attrs = self._attrs[nid]
-            if bool(d) == bool(attrs["sense"]):
-                self._emit(nid, 0, tag, value)
-            self._emit(nid, 1, tag, 0)
-            return
+        def counted(tag):
+            occupancy[block] -= len(store[tag])
+            fire(tag)
+        return counted
 
-        # Assemble inputs in port order for the remaining ops.
-        n_in = self._n_inputs[nid]
-        inputs = [
-            entry[p] if p in entry else imms[p] for p in range(n_in)
-        ]
-        if op is Op.LOAD:
-            attrs = self._attrs[nid]
-            value = self.memory.load(attrs["array"], inputs[0])
-            if self._cache is not None:
-                delay = self._cache.access_load(attrs["array"],
-                                                inputs[0])
-                if delay >= self._cache.miss_latency:
-                    due_end = self.metrics.cycles + delay
-                    if due_end > self._miss_until[0]:
-                        self._miss_until[0] = due_end
-            else:
-                delay = load_delay(self.load_latency, attrs["array"],
-                                   inputs[0])
-            if delay <= 1:
-                self._emit(nid, 0, tag, value)
-                self._emit(nid, 1, tag, 0)
-            else:
-                due = self.metrics.cycles + delay - 1
-                bucket = self._delayed.setdefault(due, [])
-                src = self._cur_event
-                for port, data in ((0, value), (1, 0)):
-                    for dest_id, dest_port in self._edges[nid][port]:
-                        bucket.append((dest_id, dest_port, tag, data,
-                                       src))
-                        self._livebox[0] += 1
-        elif op is Op.STORE:
-            attrs = self._attrs[nid]
-            self.memory.store(attrs["array"], inputs[0], inputs[1])
-            if self._cache is not None:
-                self._cache.access_store(attrs["array"], inputs[0])
-            self._emit(nid, 0, tag, 0)
-        elif op is Op.JOIN:
-            self._emit(nid, 0, tag, inputs[0])
-        elif op is Op.CHANGE_TAG:
-            table = self._attrs[nid].get("route_table")
-            if table is None:
-                self._emit(nid, 0, inputs[0], inputs[1])
-            else:
-                # Dynamic-destination changeTag (multi-caller returns).
-                dests = table.get(inputs[2], ())
-                if dests:
-                    append = self._pending.append
-                    src = self._cur_event
-                    for dest_id, dest_port in dests:
-                        append((dest_id, dest_port, inputs[0],
-                                inputs[1], src))
-                    self._livebox[0] += len(dests)
-            self._emit(nid, 1, tag, 0)
-        elif op is Op.EXTRACT_TAG:
-            self._emit(nid, 0, tag, tag)
-        elif op is Op.FREE:
-            pool = self._free_pool[nid]
-            pool.push(tag)
-            if pool not in self._dirty_pools:
-                self._dirty_pools.append(pool)
-        else:
-            info = OP_INFO[op]
-            if not info.pure:
-                raise SimulationError(f"cannot execute {op.value}")
-            value = info.evaluate(*inputs)
-            attrs = self._attrs[nid]
-            idx = attrs.get("result_index")
-            if idx is not None:
-                self._results[idx] = value
-            self._emit(nid, 0, tag, value)
+    def _count_deposits(self) -> None:
+        """Add the pending tokens bound for wait stores (every
+        destination but an ALLOCATE) to their blocks' occupancy.
+        Nothing fires during a drain, so occupancy only rises within
+        one and the per-batch peak equals the per-deposit peak."""
+        occupancy = self._occupancy
+        block = self._block
+        dkind = self._dkind
+        for token in self._pending:
+            nid = token[0]
+            if dkind[nid] != _DEP_ALLOC:
+                occupancy[block[nid]] += 1
+        peak = self._peak_occupancy
+        for b, occ in occupancy.items():
+            if occ > peak[b]:
+                peak[b] = occ
+
+    def _take_sources(self, nid: int, tag: object,
+                      ports: Iterable[int]) -> Dict[int, int]:
+        """Pop the producing events of the tokens ``(nid, tag)``
+        consumes on ``ports``; root-context inputs have none."""
+        take = self._producers.pop
+        sources = {}
+        for port in ports:
+            src = take((nid, port, tag), -1)
+            if src >= 0:
+                sources[port] = src
+        return sources
+
+    def _trace_fire(self, nid: int, fire: Callable[[object], None]
+                    ) -> Callable[[object], None]:
+        """Wrap ``fire`` to record each firing as a trace event.
+
+        The event's input edges come from the producers of the
+        entry's tokens; every token the closure emits -- the slice of
+        ``_pending`` it appended -- is mapped to the event. A LOAD's
+        tokens may be delayed past ``_pending`` instead, so its wrapper
+        maps all of its static out-edges, which it always emits on
+        with the firing tag.
+        """
+        record = self.trace.record
+        producers = self._producers
+        take_sources = self._take_sources
+        pending = self._pending
+        store = self._wait[nid]
+        metrics = self.metrics
+        block = self._block[nid]
+        op_name = self._op[nid].value
+
+        if self._op[nid] is Op.LOAD:
+            outputs = self._edges[nid][0] + self._edges[nid][1]
+
+            def traced_load(tag):
+                event = record(metrics.cycles, nid, block, op_name, tag,
+                               take_sources(nid, tag, store[tag]))
+                fire(tag)
+                for dest, port in outputs:
+                    producers[dest, port, tag] = event
+            return traced_load
+
+        def traced(tag):
+            event = record(metrics.cycles, nid, block, op_name, tag,
+                           take_sources(nid, tag, store[tag]))
+            start = len(pending)
+            fire(tag)
+            for token in pending[start:]:
+                producers[token[:3]] = event
+        return traced
+
+    def _trace_allocates(self) -> None:
+        """Shadow the two allocate actions with traced wrappers (as
+        instance attributes, so :meth:`_run_cycle` is unchanged).
+
+        A successful pop is an ``allocate`` event consuming the request
+        and, if it has arrived, the ready token. The late control
+        firing records no event: it consumes the ready token and
+        forwards that token's producer to the control tokens it emits.
+        """
+        pop = self._fire_alloc_pop
+        ctl = self._fire_alloc_ctl
+        record = self.trace.record
+        producers = self._producers
+        take_sources = self._take_sources
+        pending = self._pending
+        alloc_state = self._alloc_state
+        metrics = self.metrics
+        block = self._block
+
+        def traced_pop(nid, tag):
+            ports = (0, 1) if alloc_state[nid, tag].ready else (0,)
+            start = len(pending)
+            if not pop(nid, tag):
+                return False
+            event = record(metrics.cycles, nid, block[nid], "allocate",
+                           tag, take_sources(nid, tag, ports))
+            for token in pending[start:]:
+                producers[token[:3]] = event
+            return True
+
+        def traced_ctl(nid, tag):
+            src = producers.pop((nid, 1, tag), -1)
+            start = len(pending)
+            ctl(nid, tag)
+            if src >= 0:
+                for token in pending[start:]:
+                    producers[token[:3]] = src
+
+        self._fire_alloc_pop = traced_pop
+        self._fire_alloc_ctl = traced_ctl

@@ -150,6 +150,19 @@ def test_engine_profiler_attribution():
     assert run.stall_breakdown()[0] == ("fired", 2)
 
 
+def test_engine_profiler_memory_stall_split():
+    """Batched memory stalls: plain without a cache model; in cache
+    mode, cycles before ``miss_until[0]`` are misses, the rest hits."""
+    prof = EngineProfiler()
+    prof.memory_stall(0, 4, None)
+    assert prof.memory_stall_split == {}
+    prof.memory_stall(4, 10, [7])     # 4..6 miss, 7..9 hit
+    prof.memory_stall(10, 12, [20])   # wholly inside the miss
+    prof.memory_stall(12, 15, [5])    # miss long over
+    assert prof.stall_cycles["memory_stall"] == 15
+    assert prof.memory_stall_split == {"miss": 5, "hit": 6}
+
+
 def test_engine_profiler_label_merging():
     prof = EngineProfiler()
     prof.fire(1)

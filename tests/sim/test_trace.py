@@ -57,11 +57,14 @@ def test_trace_height_reflects_architecture():
 def test_live_cut_tracks_live_trace():
     """The number of edges crossing a cycle cut approximates the
     engine's live-token count at that cycle (the paper's definition).
-    It is a slight under-approximation: discarded tokens and allocate
-    request/ready tokens do not become trace edges. The cut includes
-    tokens consumed *at* the cycle (still crossing), which the
-    engine's end-of-cycle live count no longer holds; subtract them
-    before comparing."""
+    Allocate request and ready tokens become edges into the allocate
+    event like any other operand, but the match is not exact:
+    root-context inputs have no producing event, and a late allocate
+    control firing records no event, so the ready token it consumes
+    and the control token it emits share one forwarded edge. The cut
+    includes tokens consumed *at* the cycle (still crossing), which
+    the engine's end-of-cycle live count no longer holds; subtract
+    them before comparing."""
     cw = CompiledWorkload(lower_module(sum_loop_module()))
     engine = TaggedEngine(cw.tagged, Memory(), TyrPolicy(4),
                           record_trace=True)
