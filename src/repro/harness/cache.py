@@ -66,7 +66,10 @@ CACHE_VERSION = 5
 #: v6: tagged kernels deposit tokens straight into wait stores, all
 #: kernels probe the cache over flat addresses, and the artifact's
 #: ``marshal`` payload is a tuple of per-chunk code objects.
-PLAN_VERSION = 6
+#: v7: every kernel family binds its load timing from the engine's
+#: one ``load_timing`` seam and emits one probed LOAD body for both
+#: the latency hash and the cache model.
+PLAN_VERSION = 7
 
 DEFAULT_ROOT = ".repro-cache"
 

@@ -224,7 +224,9 @@ class CompiledWorkload:
         a spec string like ``"line=8,miss=100,l1=64x4x1"``, or an
         equivalent dict.  Load delays then come from set-associative
         cache probes instead of the hash-based ``load_latency`` model
-        (the two are mutually exclusive), stores probe the model too,
+        (the two are mutually exclusive: every engine's
+        :func:`~repro.sim.latency.load_timing` rejects both at
+        once), stores probe the model too,
         and per-level hit/miss statistics land in
         ``result.extra["cache"]``.
 
@@ -250,12 +252,6 @@ class CompiledWorkload:
         if cache is not None:
             from repro.sim.cache import CacheConfig, CacheModel
 
-            if load_latency > 1:
-                raise SimulationError(
-                    "cache= and load_latency>1 are mutually "
-                    "exclusive: the cache model replaces the "
-                    "hash-based load-delay model"
-                )
             cache_model = CacheModel(CacheConfig.coerce(cache), memory)
         family = kernel_family_for(
             machine, codegen=codegen, profile=profile,

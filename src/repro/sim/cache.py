@@ -15,20 +15,24 @@ models memory behaviour as first-class simulator state instead:
   out by :meth:`repro.sim.memory.Memory.base_of`, probed by every
   engine's load (and store) path when ``cache=`` is configured.
 
-``access_load`` returns the access latency in cycles, which feeds the
-exact same delayed-delivery machinery the engines already use for
-``load_latency`` (delay <= 1 takes the immediate path, larger delays
-the in-flight buckets/queues), so the cache mode adds no new stall
-semantics -- only state. Stores probe and update the directories (write
-allocate) for hit/miss accounting but stay single-cycle, modelling an
-ideal store buffer.
+The engines never call the model by array name. Their one
+load-timing seam, :func:`repro.sim.latency.load_timing`, binds the
+flat-address :meth:`CacheModel.load_probe` (and ``store_probe``) with
+each array's layout base, the same ``(probe, base)`` shape it gives the
+``load_latency`` hash. A probe returns the access latency in cycles and
+feeds the same delayed-delivery machinery (delay <= 1 takes the
+immediate path, larger delays the in-flight buckets/queues), so the
+cache mode adds no new stall semantics -- only state. Stores probe and
+update the directories (write allocate) for hit/miss accounting but
+stay single-cycle, modelling an ideal store buffer.
 
 The model is a pure deterministic function of the access sequence:
 interpreters and generated plan kernels replay the same sequence, so
 their hit/miss counters are bit-identical (pinned by the differential
-suite). ``cache=`` is mutually exclusive with ``load_latency > 1``,
-and with ``cache=None`` (the default) nothing here is ever imported
-into an engine's hot path -- the 142 golden records stay untouched.
+suite and by golden records). ``cache=`` is mutually exclusive with
+``load_latency > 1`` (``load_timing`` rejects both), and with
+``cache=None`` (the default) nothing here is ever imported into an
+engine's hot path.
 """
 
 from __future__ import annotations
@@ -249,7 +253,7 @@ class CacheModel:
             way[line] = None
 
     def access_load(self, array: str, index: int) -> int:
-        """Latency of one load (feeds the engines' delay machinery)."""
+        """Latency of one load from ``array[index]``."""
         return self._probe(array, index, self.load_hits,
                            self.load_misses)
 
@@ -260,8 +264,9 @@ class CacheModel:
     def load_probe(self) -> Callable[[int], int]:
         """``access_load`` over a *flat* word address.
 
-        The generated kernels bind ``memory.base_of(array)`` once per
-        run and call the returned probe with ``base + index``. The
+        :func:`repro.sim.latency.load_timing` binds one probe per run
+        with each array's ``memory.base_of(array)``, and every engine
+        calls it with ``base + index``. The
         probe returns the same latency and updates the same counters
         and directories as :meth:`access_load`; single-level
         hierarchies get a closure with the level's state in locals.

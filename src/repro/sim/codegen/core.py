@@ -160,8 +160,8 @@ def array_ref(array: object, bind: Callable[[str, str], str],
     """``(body ref, bind-time expr)`` for a LOAD/STORE array: its
     literal when safe, else a default argument ``array`` bound from
     ``expr`` (the engine-table lookup). The bind-time form feeds the
-    per-run lookups, e.g. ``bases.get(<expr>, 0)`` for the flat base
-    the cache probes take."""
+    per-run lookups, e.g. ``timing.load(<expr>)`` for the array's
+    load-timing probe."""
     if safe_literal(array):
         return lit(array), lit(array)
     return bind("array", expr), expr

@@ -11,7 +11,7 @@ Emits one module per :class:`~repro.compiler.flatten.FlatGraph` with
   ``MetricsRecorder.sample`` body inlined into frame locals that are
   committed back in a ``finally`` (the idiom of the window engine's
   interpreted loop). ``metrics.cycles`` is synchronized every cycle
-  when ``load_latency > 1`` because the load firing rules and
+  when loads are timed because the probed load firing rules and
   ``_deliver_memory_responses`` read it, and committed / reloaded
   around ``_stall_for_memory`` (which mutates the recorder).
 
@@ -266,14 +266,13 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         return
 
     if op is Op.LOAD:
-        # An unbound array binds base 0 and never reaches the cache
-        # probe: mem_load raises first.
         arr, src = array_ref(nd.attrs["array"], node._bind,
                              f"attrs[{nid}]['array']")
-        base = f"bases.get({src}, 0)"
-        # Latency is a run parameter: emit both firing rules, pick at
+        # Timing is a run parameter: emit both firing rules, pick at
         # bind time. Under unit latency nothing ever enters the
-        # in-flight map, so the fast rule drops those checks.
+        # in-flight map, so the fast rule drops those checks; the
+        # probed rule delays by the (probe, base) the run's load
+        # timing binds for the array.
         fast = Writer()
         for p in range(n_in):
             node.operand(fast, p, f"a{p}")
@@ -285,93 +284,52 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         node.push(fast, 1, "0")
         fast("return True")
 
-        var = Writer()
+        probed = Writer()
         for p in range(n_in):
-            node.operand(var, p, f"a{p}")
-        node.backpressure(var, 0)
-        node.backpressure(var, 1)
-        node.pops(var, list(range(n_in)))
-        var(f"value = mem_load({arr}, a0)")
-        var(f"delay = load_delay(latency, {arr}, a0)")
-        var(f"if delay <= 1 and {nid} not in inflight:")
-        var.indent()
-        node.push(var, 0, "value")
-        node.push(var, 1, "0")
+            node.operand(probed, p, f"a{p}")
+        node.backpressure(probed, 0)
+        node.backpressure(probed, 1)
+        node.pops(probed, list(range(n_in)))
+        probed(f"value = mem_load({arr}, a0)")
+        probed("delay = probe(base + a0)")
+        probed(f"if delay <= 1 and {nid} not in inflight:")
+        probed.indent()
+        node.push(probed, 0, "value")
+        node.push(probed, 1, "0")
         if not (node.dests(0) or node.dests(1)):
-            var("pass")
-        var.dedent()
-        var("else:")
-        var.indent()
-        var("due = metrics.cycles + delay - 1")
-        var(f"queue = inflight.get({nid})")
-        var("if queue is None:")
-        var.indent()
-        var(f"inflight[{nid}] = queue = deque()")
+            probed("pass")
+        probed.dedent()
+        probed("else:")
+        probed.indent()
+        probed("due = metrics.cycles + delay - 1")
+        probed(f"queue = inflight.get({nid})")
+        probed("if queue is None:")
+        probed.indent()
+        probed(f"inflight[{nid}] = queue = deque()")
         # A new queue's head may mature before every other head; an
         # append behind an existing head never can (head-of-line
         # blocking), so only this arm can lower the delivery bound.
-        var("if due < due_box[0]:")
-        var.indent()
-        var("due_box[0] = due")
-        var.dedent()
-        var.dedent()
-        var("queue.append((due, value))")
-        var.dedent()
-        var("return True")
+        probed("if due < due_box[0]:")
+        probed.indent()
+        probed("due_box[0] = due")
+        probed.dedent()
+        probed.dedent()
+        probed("queue.append((due, value))")
+        probed.dedent()
+        probed("return True")
 
-        # Cache mode: the probe decides the delay, the in-flight
-        # plumbing is identical to the variable-latency rule.
-        cached = Writer()
-        for p in range(n_in):
-            node.operand(cached, p, f"a{p}")
-        node.backpressure(cached, 0)
-        node.backpressure(cached, 1)
-        node.pops(cached, list(range(n_in)))
-        cached(f"value = mem_load({arr}, a0)")
-        cached("delay = load_probe(base + a0)")
-        cached(f"if delay <= 1 and {nid} not in inflight:")
-        cached.indent()
-        node.push(cached, 0, "value")
-        node.push(cached, 1, "0")
-        if not (node.dests(0) or node.dests(1)):
-            cached("pass")
-        cached.dedent()
-        cached("else:")
-        cached.indent()
-        cached("due = metrics.cycles + delay - 1")
-        cached(f"queue = inflight.get({nid})")
-        cached("if queue is None:")
-        cached.indent()
-        cached(f"inflight[{nid}] = queue = deque()")
-        cached("if due < due_box[0]:")
-        cached.indent()
-        cached("due_box[0] = due")
-        cached.dedent()
-        cached.dedent()
-        cached("queue.append((due, value))")
-        cached.dedent()
-        cached("return True")
-
-        w("if load_probe is not None:")
-        w.indent()
-        node.compose(
-            w, cached,
-            [("mem_load", "mem_load"), ("inflight", "inflight"),
-             ("metrics", "metrics"), ("load_probe", "load_probe"),
-             ("base", base), ("deque", "deque"),
-             ("due_box", "due_box")])
-        w.dedent()
-        w("elif latency <= 1:")
+        w("if timing is None:")
         w.indent()
         node.compose(w, fast, [("mem_load", "mem_load")])
         w.dedent()
         w("else:")
         w.indent()
+        w(f"probe, base = timing.load({src})")
         name = node.compose(
-            w, var,
+            w, probed,
             [("mem_load", "mem_load"), ("inflight", "inflight"),
-             ("metrics", "metrics"), ("latency", "latency"),
-             ("load_delay", "load_delay"), ("deque", "deque"),
+             ("metrics", "metrics"), ("probe", "probe"),
+             ("base", "base"), ("deque", "deque"),
              ("due_box", "due_box")])
         w.dedent()
         w(f"fns[{nid}] = {name}")
@@ -381,7 +339,6 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
     if op is Op.STORE:
         arr, src = array_ref(nd.attrs["array"], node._bind,
                              f"attrs[{nid}]['array']")
-        base = f"bases.get({src}, 0)"
         b = Writer()
         for p in range(n_in):
             node.operand(b, p, f"a{p}")
@@ -399,19 +356,20 @@ def _emit_node(w: Writer, graph: FlatGraph, nid: int,
         node.backpressure(cb, 0)
         node.pops(cb, list(range(n_in)))
         cb(f"mem_store({arr}, a0, a1)")
-        cb("store_probe(base + a0)")
+        cb("probe(base + a0)")
         node.push(cb, 0, "0")
         cb("return True")
 
-        w("if store_probe is not None:")
+        w(f"probe, base = timing.store({src}) if timing else UNTIMED")
+        w("if probe is None:")
         w.indent()
-        node.compose(w, cb, [("mem_store", "mem_store"),
-                             ("store_probe", "store_probe"),
-                             ("base", base)])
+        node.compose(w, b, [("mem_store", "mem_store")])
         w.dedent()
         w("else:")
         w.indent()
-        name = node.compose(w, b, [("mem_store", "mem_store")])
+        name = node.compose(w, cb, [("mem_store", "mem_store"),
+                                    ("probe", "probe"),
+                                    ("base", "base")])
         w.dedent()
         w(f"fns[{nid}] = {name}")
         w()
@@ -510,7 +468,7 @@ def generate(graph: FlatGraph) -> str:
     w("from repro.errors import SimulationError")
     w("from repro.sim.watchdog import watchdog_horizon")
     w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
+    w("from repro.sim.latency import UNTIMED")
     w()
     w()
     # Same-cycle token visibility: a dense counter list (indexed by
@@ -537,12 +495,7 @@ def generate(graph: FlatGraph) -> str:
         "metrics = E.metrics",
         "inflight = E._inflight",
         "due_box = E._due_box",
-        "latency = E.load_latency",
-        "cache = E._cache",
-        "load_probe = cache.load_probe() if cache is not None else None",
-        "store_probe = cache.store_probe() if cache is not None "
-        "else None",
-        "bases = E.memory.layout()",
+        "timing = E._timing",
     ]
     if has_mu:
         prelude.append("mu_state = E._mu_state")
@@ -578,7 +531,7 @@ def generate(graph: FlatGraph) -> str:
     w("inflight = E._inflight")
     w("due_box = E._due_box")
     w("stall = E._stall_for_memory")
-    w("sync = E.load_latency > 1 or E._cache is not None")
+    w("sync = E._timing is not None")
     w("sample_traces = metrics.sample_traces")
     # RLETrace.append inlined below; _length for both traces always
     # equals the cycle count, so it is committed in the finally.

@@ -299,12 +299,9 @@ def _emit_node(w: Writer, graph: TaggedGraph, nid: int,
         fn.bind("mem_load", "mem_load")
         addr = fn.operand(0)
         # Timing is a run parameter, not part of the plan: the one
-        # LOAD body branches on a probe bound per run. None means
-        # idealized single-cycle loads; otherwise ``probe(base + addr)``
-        # is the cache model's flat-address probe (the array's base
-        # bound once per run; an unbound array never reaches it:
-        # Memory.load raises first) or, under load_latency > 1, the
-        # load_delay hash with the array bound and base 0.
+        # LOAD body branches on the (probe, base) the run's load
+        # timing binds for the array (repro.sim.latency.load_timing).
+        # A None probe means idealized single-cycle loads.
         fn.bind("data", f"arrays.get({arr_src}, ())")
         fn.bind("memory", "memory")
         b = Writer()
@@ -337,11 +334,10 @@ def _emit_node(w: Writer, graph: TaggedGraph, nid: int,
         for dest_id, dest_port in edges1:
             b(f"bucket.append(({dest_id}, {dest_port}, tag, 0))")
         b.dedent()
+        w(f"probe, base = timing.load({arr_src}) if timing else UNTIMED")
         fn.define(w, b, [
             ("metrics", "metrics"), ("delayed", "delayed"),
-            ("probe", f"load_probe or (partial(load_delay, latency, "
-                      f"{arr_src}) if latency > 1 else None)"),
-            ("base", f"bases.get({arr_src}, 0) if load_probe else 0")])
+            ("probe", "probe"), ("base", "base")])
         finish()
         return
 
@@ -353,9 +349,7 @@ def _emit_node(w: Writer, graph: TaggedGraph, nid: int,
         addr = fn.operand(0)
         value = fn.operand(1)
         # Stores probe the cache model too (write-allocate) but stay
-        # single-cycle. An unbound array binds base 0 and never
-        # reaches the probe: mem_store raises first, exactly like the
-        # interpreter.
+        # single-cycle; other timings bind no store probe.
         b = Writer()
         consume(b, len(edges0))
         b(f"addr = {addr}")
@@ -363,9 +357,9 @@ def _emit_node(w: Writer, graph: TaggedGraph, nid: int,
         b("if probe is not None:")
         b("    probe(base + addr)")
         fn.edges(b, edges0, "tag", "0")
-        fn.define(w, b, [("probe", "store_probe"),
-                         ("base", f"bases.get({arr_src}, 0) "
-                                  "if store_probe else 0")])
+        w(f"probe, base = timing.store({arr_src}) if timing "
+          "else UNTIMED")
+        fn.define(w, b, [("probe", "probe"), ("base", "base")])
         finish()
         return
 
@@ -500,11 +494,10 @@ def generate(graph: TaggedGraph) -> str:
       '\nplan, never edited. The closure interpreter in'
       '\nsim/tagged/engine.py is the bit-identical reference."""')
     w("from collections import deque")
-    w("from functools import partial")
     w()
     w("from repro.errors import SimulationError, TokenBoundExceeded")
     w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
+    w("from repro.sim.latency import UNTIMED")
     w("from repro.sim.tagged.engine import _AllocState")
     w("from repro.sim.watchdog import watchdog_horizon")
     w()
@@ -523,12 +516,7 @@ def generate(graph: TaggedGraph) -> str:
         "mem_store = memory.store",
         "metrics = E.metrics",
         "delayed = E._delayed",
-        "latency = E.load_latency",
-        "cache = E._cache",
-        "load_probe = cache.load_probe() if cache is not None else None",
-        "store_probe = cache.store_probe() if cache is not None "
-        "else None",
-        "bases = E.memory.layout()",
+        "timing = E._timing",
         "dirty = E._dirty_pools",
         f"fns = [None] * {n}",
     ]
@@ -585,10 +573,10 @@ def generate(graph: TaggedGraph) -> str:
         w("dirty = E._dirty_pools")
     # MetricsRecorder.sample is inlined into frame locals, committed
     # back in the finally. metrics.cycles is synchronized at the end
-    # of every cycle when loads can be delayed (the variable-latency
-    # and cache-probe fire rules read it mid-cycle) and around
-    # _stall_for_memory, which both reads and mutates the recorder.
-    w("sync = E.load_latency > 1 or E._cache is not None")
+    # of every cycle when loads are timed (the probed fire rules read
+    # it mid-cycle) and around _stall_for_memory, which both reads
+    # and mutates the recorder.
+    w("sync = E._timing is not None")
     w("sample_traces = metrics.sample_traces")
     w("ipc_vals = metrics.ipc_trace._values")
     w("ipc_counts = metrics.ipc_trace._counts")

@@ -11,9 +11,11 @@ block activation is a single call instead of a closure per op.
 engine stores as ``_ticked``/``_silent``; each block maps to a
 1-tuple, which keeps :meth:`DataParallelEngine._exec_block` and
 :meth:`~DataParallelEngine._exec_vector_loop` unchanged.  Blocks
-containing loads are emitted twice (idealized vs variable-latency
-timing) and selected by the engine's ``load_latency`` at bind time;
-variable-latency loads fast-forward their stall through the
+containing loads or stores are emitted twice -- idealized, and probed
+through the per-array ``(probe, base)`` of the engine's load timing
+(:func:`repro.sim.latency.load_timing`, which covers both the
+``load_latency`` hash and the cache model) -- and selected at bind
+time; probed loads fast-forward their stall through the
 ``_stall_scalar_load`` O(1) path.  Spawned loops are classified
 vector-vs-scalar at generation time (``classify_loop`` is a pure
 function of the program).
@@ -42,8 +44,11 @@ class _Binder:
     def __init__(self) -> None:
         self.binds: List[Bind] = []
         self._seen: set = set()
-        #: array name -> its bound base variable.
-        self.arrays: Dict[str, str] = {}
+        #: Bind-time statements run before the ``def`` (the per-array
+        #: load-timing lookups).
+        self.setup: List[str] = []
+        #: (load|store, array) -> its bound (probe, base) names.
+        self.probes: Dict[Tuple[str, str], Tuple[str, str]] = {}
 
     def need(self, name: str, expr: str) -> str:
         if name not in self._seen:
@@ -51,15 +56,28 @@ class _Binder:
             self.binds.append((name, expr))
         return name
 
+    def probe(self, kind: str, array: str) -> Tuple[str, str]:
+        """The ``(probe, base)`` names the run's load timing binds for
+        ``kind`` (``load`` or ``store``) accesses to ``array``."""
+        names = self.probes.get((kind, array))
+        if names is None:
+            k = len(self.probes)
+            names = self.probes[kind, array] = (f"p{k}", f"base{k}")
+            self.setup.append(f"{names[0]}, {names[1]} = "
+                              f"timing.{kind}({lit(array)})")
+            for name in names:
+                self.need(name, name)
+        return names
+
 
 def _emit_items(w: Writer, b: _Binder, items, mode: str,
                 ctx) -> None:
     """Emit the body for a tuple of region items.
 
-    ``mode`` is ``ticked_fast`` (idealized loads), ``ticked_var``
-    (variable-latency loads), ``ticked_cache`` (cache-probe loads and
-    stores) or ``silent`` (vector body, no ticks; vector-body memory
-    bypasses the cache model like the interpreter's silent steps).
+    ``mode`` is ``ticked`` (idealized loads), ``probed`` (loads and
+    stores timed by the run's per-array ``(probe, base)``) or
+    ``silent`` (vector body, no ticks; vector-body memory bypasses the
+    load timing like the interpreter's silent steps).
     """
     ticked = mode != "silent"
     for item in items:
@@ -100,29 +118,15 @@ def _emit_items(w: Writer, b: _Binder, items, mode: str,
             arr = lit(array) if safe_literal(array) else b.need(
                 "ld_array", "None")  # pragma: no cover - names are str
             b.need("mem_load", "mem_load")
-            if mode == "ticked_var":
+            if mode == "probed":
                 b.need("stall", "stall")
-                b.need("latency", "latency")
-                b.need("load_delay", "load_delay")
+                b.need("miss_latency", "timing.miss_latency")
+                probe, base = b.probe("load", array)
                 w("tick(1, live)")
                 w(f"index = env[{ins[0]}]")
                 w(f"env[{outs[0]}] = mem_load({arr}, index)")
                 w(f"env[{outs[1]}] = 0")
-                w(f"delay = load_delay(latency, {arr}, index)")
-                w("if delay > 1:")
-                w.indent()
-                w("stall(delay - 1, live)")
-                w.dedent()
-            elif mode == "ticked_cache":
-                b.need("stall", "stall")
-                b.need("load_probe", "load_probe")
-                b.need("miss_latency", "miss_latency")
-                base = _base(b, array)
-                w("tick(1, live)")
-                w(f"index = env[{ins[0]}]")
-                w(f"env[{outs[0]}] = mem_load({arr}, index)")
-                w(f"env[{outs[1]}] = 0")
-                w(f"delay = load_probe({base} + index)")
+                w(f"delay = {probe}({base} + index)")
                 w("if delay > 1:")
                 w.indent()
                 w("stall(delay - 1, live, delay >= miss_latency)")
@@ -141,9 +145,10 @@ def _emit_items(w: Writer, b: _Binder, items, mode: str,
             if ticked:
                 w("tick(1, live)")
             w(f"mem_store({arr}, env[{ins[0]}], env[{ins[1]}])")
-            if mode == "ticked_cache":
-                b.need("store_probe", "store_probe")
-                w(f"store_probe({_base(b, array)} + env[{ins[0]}])")
+            if mode == "probed":
+                probe, base = b.probe("store", array)
+                w(f"if {probe} is not None:")
+                w(f"    {probe}({base} + env[{ins[0]}])")
             w(f"env[{outs[0]}] = 0")
             continue
 
@@ -181,14 +186,6 @@ def _emit_items(w: Writer, b: _Binder, items, mode: str,
         w(f"env[{outs[0]}] = {expr}")
 
 
-def _base(b: _Binder, array: str) -> str:
-    """Bind the flat base of ``array`` (from the run's memory layout)
-    for the cache probes. An unbound array binds 0 and never reaches
-    the probe: mem_load/mem_store raise first."""
-    name = b.arrays.setdefault(array, f"base{len(b.arrays)}")
-    return b.need(name, f"bases.get({lit(array)}, 0)")
-
-
 def _emit_spawn(w: Writer, b: _Binder, item: VecOp, ticked: bool,
                 ctx) -> None:
     if not ticked:
@@ -220,23 +217,14 @@ def _emit_spawn(w: Writer, b: _Binder, item: VecOp, ticked: bool,
         w(f"env[{slot}] = r[{k}]")
 
 
-def _has_load(items) -> bool:
+def _has_memory(items) -> bool:
+    """Does a region tree hold a LOAD or STORE (a timed access)?"""
     for item in items:
         if isinstance(item, VecIf):
-            if _has_load(item.then_items) or _has_load(item.else_items):
+            if (_has_memory(item.then_items)
+                    or _has_memory(item.else_items)):
                 return True
-        elif item.op is Op.LOAD:
-            return True
-    return False
-
-
-def _has_store(items) -> bool:
-    for item in items:
-        if isinstance(item, VecIf):
-            if (_has_store(item.then_items)
-                    or _has_store(item.else_items)):
-                return True
-        elif item.op is Op.STORE:
+        elif item.op is Op.LOAD or item.op is Op.STORE:
             return True
     return False
 
@@ -249,6 +237,8 @@ def _emit_block_fn(w: Writer, name: str, plan, mode: str,
     if not body._lines:
         body("pass")
     params = ["env"] + [f"{n}={e}" for n, e in b.binds]
+    for line in b.setup:
+        w(line)
     w(f"def {name}({', '.join(params)}):")
     w.indent()
     w.splice(body)
@@ -266,34 +256,18 @@ def _emit_block(w: Writer, bi: int, bname: str, plan,
                 program: ContextProgram, ctx) -> None:
     """One block's step functions and their table entries."""
     w(f"# block {bname!r}")
-    has_ld = _has_load(plan.items)
-    has_st = _has_store(plan.items)
-    if has_ld or has_st:
-        _emit_block_fn(w, f"tb{bi}_fast", plan, "ticked_fast", ctx)
-        if has_ld:
-            _emit_block_fn(w, f"tb{bi}_var", plan, "ticked_var", ctx)
-        _emit_block_fn(w, f"tb{bi}_cache", plan, "ticked_cache", ctx)
-        w("if load_probe is not None:")
+    if _has_memory(plan.items):
+        w("if timing is None:")
         w.indent()
-        w(f"ticked[{lit(bname)}] = (tb{bi}_cache,)")
+        _emit_block_fn(w, f"tb{bi}", plan, "ticked", ctx)
         w.dedent()
-        if has_ld:
-            w("elif latency <= 1:")
-            w.indent()
-            w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
-            w.dedent()
-            w("else:")
-            w.indent()
-            w(f"ticked[{lit(bname)}] = (tb{bi}_var,)")
-            w.dedent()
-        else:
-            w("else:")
-            w.indent()
-            w(f"ticked[{lit(bname)}] = (tb{bi}_fast,)")
-            w.dedent()
+        w("else:")
+        w.indent()
+        _emit_block_fn(w, f"tb{bi}", plan, "probed", ctx)
+        w.dedent()
     else:
-        _emit_block_fn(w, f"tb{bi}", plan, "ticked_fast", ctx)
-        w(f"ticked[{lit(bname)}] = (tb{bi},)")
+        _emit_block_fn(w, f"tb{bi}", plan, "ticked", ctx)
+    w(f"ticked[{lit(bname)}] = (tb{bi},)")
     if classify_loop(program.block(bname)) is not None:
         _emit_block_fn(w, f"sb{bi}", plan, "silent", ctx)
         w(f"silent[{lit(bname)}] = (sb{bi},)")
@@ -313,7 +287,6 @@ def generate(program: ContextProgram) -> str:
       '\nsim/vector/engine.py is the bit-identical reference."""')
     w("from repro.errors import SimulationError")
     w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
     w()
     w()
     prelude = [
@@ -322,13 +295,7 @@ def generate(program: ContextProgram) -> str:
         "live = E._scalar_live",
         "mem_load = E.memory.load",
         "mem_store = E.memory.store",
-        "latency = E.load_latency",
-        "cache = E._cache",
-        "load_probe = cache.load_probe() if cache is not None else None",
-        "store_probe = cache.store_probe() if cache is not None "
-        "else None",
-        "miss_latency = cache.miss_latency if cache is not None else 0",
-        "bases = E.memory.layout()",
+        "timing = E._timing",
         "plans = E.plans",
         "vector_info = E.vector_info",
         "exec_block = E._exec_block",

@@ -201,14 +201,12 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
         return name
 
     if op is Op.LOAD:
-        # An unbound array binds base 0 and never reaches the cache
-        # probe: mem_load/mem_store raise first.
         arr, src = array_ref(p.attrs["array"], fn.bind,
                              f"bops[{oid}].attrs['array']")
-        base = f"bases.get({src}, 0)"
-        # Latency is a run parameter: emit both timing rules, pick at
-        # bind time (matching the interpreter's construction-time
-        # split).
+        # Timing is a run parameter: emit both rules, pick at bind
+        # time (matching the interpreter's probe-is-None branch). The
+        # probed rule delays by the (probe, base) the run's load
+        # timing binds for the array.
         fast = Writer()
         fast(f"entry = inst.wait.pop({oid}, NO)")
         fast(f"inst.fired.add({oid})")
@@ -217,88 +215,51 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
         fn.out(fast, 0, "value", d0)
         fn.out(fast, 1, "0", n1)
 
-        # Cache mode: the probe decides the delay; the delayed-bucket
-        # plumbing is identical to the variable-latency rule.
-        cached = Writer()
-        cached(f"entry = inst.wait.pop({oid}, NO)")
+        probed = Writer()
+        probed(f"entry = inst.wait.pop({oid}, NO)")
         if n_t:
-            cached(f"livebox[0] -= {n_t}")
-        cached(f"addr = {fn.operand(0)}")
-        cached(f"value = mem_load({arr}, addr)")
-        cached("delay = load_probe(base + addr)")
-        cached("if delay <= 1:")
-        cached.indent()
-        cached(f"publish(inst, {lit((oid, 0))}, value)")
-        cached(f"publish(inst, {lit((oid, 1))}, 0)")
-        cached.dedent()
-        cached("else:")
-        cached.indent()
-        cached("due = metrics.cycles + delay - 1")
-        cached("bucket = delayed.get(due)")
-        cached("if bucket is None:")
-        cached.indent()
-        cached("delayed[due] = bucket = []")
-        cached.dedent()
-        cached(f"bucket.append((inst, {lit((oid, 0))}, value))")
-        cached(f"bucket.append((inst, {lit((oid, 1))}, 0))")
-        cached.dedent()
+            probed(f"livebox[0] -= {n_t}")
+        probed(f"addr = {fn.operand(0)}")
+        probed(f"value = mem_load({arr}, addr)")
+        probed("delay = probe(base + addr)")
+        probed("if delay <= 1:")
+        probed.indent()
+        probed(f"publish(inst, {lit((oid, 0))}, value)")
+        probed(f"publish(inst, {lit((oid, 1))}, 0)")
+        probed.dedent()
+        probed("else:")
+        probed.indent()
+        probed("due = metrics.cycles + delay - 1")
+        probed("bucket = delayed.get(due)")
+        probed("if bucket is None:")
+        probed.indent()
+        probed("delayed[due] = bucket = []")
+        probed.dedent()
+        probed(f"bucket.append((inst, {lit((oid, 0))}, value))")
+        probed(f"bucket.append((inst, {lit((oid, 1))}, 0))")
+        probed.dedent()
 
-        var = Writer()
-        var(f"entry = inst.wait.pop({oid}, NO)")
-        if n_t:
-            var(f"livebox[0] -= {n_t}")
-        var(f"addr = {fn.operand(0)}")
-        var(f"value = mem_load({arr}, addr)")
-        var(f"delay = load_delay(latency, {arr}, addr)")
-        var("if delay <= 1:")
-        var.indent()
-        var(f"publish(inst, {lit((oid, 0))}, value)")
-        var(f"publish(inst, {lit((oid, 1))}, 0)")
-        var.dedent()
-        var("else:")
-        var.indent()
-        var("due = metrics.cycles + delay - 1")
-        var("bucket = delayed.get(due)")
-        var("if bucket is None:")
-        var.indent()
-        var("delayed[due] = bucket = []")
-        var.dedent()
-        var(f"bucket.append((inst, {lit((oid, 0))}, value))")
-        var(f"bucket.append((inst, {lit((oid, 1))}, 0))")
-        var.dedent()
-
-        w("if load_probe is not None:")
-        w.indent()
-        fn.compose(
-            w, cached,
-            [("NO", "_NO_ENTRY"), ("mem_load", "mem_load"),
-             ("publish", "publish"), ("metrics", "metrics"),
-             ("delayed", "delayed"), ("load_probe", "load_probe"),
-             ("base", base)])
-        w.dedent()
-        w("elif latency <= 1:")
+        w("if timing is None:")
         w.indent()
         fn.compose(w, fast,
                    [("NO", "_NO_ENTRY"), ("mem_load", "mem_load")])
         w.dedent()
         w("else:")
         w.indent()
+        w(f"probe, base = timing.load({src})")
         fn.compose(
-            w, var,
+            w, probed,
             [("NO", "_NO_ENTRY"), ("mem_load", "mem_load"),
              ("publish", "publish"), ("metrics", "metrics"),
-             ("delayed", "delayed"), ("latency", "latency"),
-             ("load_delay", "load_delay")])
+             ("delayed", "delayed"), ("probe", "probe"),
+             ("base", "base")])
         w.dedent()
         w()
         return fn.name
 
     if op is Op.STORE:
-        # An unbound array binds base 0 and never reaches the cache
-        # probe: mem_load/mem_store raise first.
         arr, src = array_ref(p.attrs["array"], fn.bind,
                              f"bops[{oid}].attrs['array']")
-        base = f"bases.get({src}, 0)"
         b = Writer()
         b(f"entry = inst.wait.pop({oid}, NO)")
         b(f"inst.fired.add({oid})")
@@ -315,19 +276,20 @@ def _emit_fire(w: Writer, bplan: BlockPlan, p: OpPlan,
         cb(f"addr = {fn.operand(0)}")
         cb(f"value = {fn.operand(1)}")
         cb(f"mem_store({arr}, addr, value)")
-        cb("store_probe(base + addr)")
+        cb("probe(base + addr)")
         fn.out(cb, 0, "0", d0)
 
-        w("if store_probe is not None:")
+        w(f"probe, base = timing.store({src}) if timing else UNTIMED")
+        w("if probe is None:")
         w.indent()
         fn.compose(
-            w, cb, [("NO", "_NO_ENTRY"), ("mem_store", "mem_store"),
-                    ("store_probe", "store_probe"), ("base", base)])
+            w, b, [("NO", "_NO_ENTRY"), ("mem_store", "mem_store")])
         w.dedent()
         w("else:")
         w.indent()
         name = fn.compose(
-            w, b, [("NO", "_NO_ENTRY"), ("mem_store", "mem_store")])
+            w, cb, [("NO", "_NO_ENTRY"), ("mem_store", "mem_store"),
+                    ("probe", "probe"), ("base", "base")])
         w.dedent()
         w()
         return name
@@ -384,7 +346,7 @@ def generate(program: ContextProgram) -> str:
     w("from repro.errors import SimulationError")
     w("from repro.sim.watchdog import watchdog_horizon")
     w("from repro.ir.ops import OP_INFO, Op")
-    w("from repro.sim.latency import load_delay")
+    w("from repro.sim.latency import UNTIMED")
     w()
     w("_NO_ENTRY = {}")
     w()
@@ -398,12 +360,7 @@ def generate(program: ContextProgram) -> str:
         "metrics = E.metrics",
         "delayed = E._delayed",
         "publish = E._publish",
-        "latency = E.load_latency",
-        "cache = E._cache",
-        "load_probe = cache.load_probe() if cache is not None else None",
-        "store_probe = cache.store_probe() if cache is not None "
-        "else None",
-        "bases = E.memory.layout()",
+        "timing = E._timing",
         "plans = E.plans",
         "tables = {}",
     ]
@@ -455,7 +412,7 @@ def generate(program: ContextProgram) -> str:
     w("max_cycles = E.max_cycles")
     w("wd_horizon = watchdog_horizon(max_cycles)")
     w("idle_streak = 0")
-    w("sync_cycles = E.load_latency > 1 or E._cache is not None")
+    w("sync_cycles = E._timing is not None")
     w("traces = metrics.sample_traces")
     w("ipc_vals = metrics.ipc_trace._values")
     w("ipc_counts = metrics.ipc_trace._counts")

@@ -32,7 +32,8 @@ The taxonomy, in attribution priority order for zero-fired cycles:
     Nothing fired because every schedulable event was an ``allocate``
     blocked on an exhausted tag pool (the paper's taming mechanism).
 ``memory_stall``
-    Nothing fired and loads were in flight (``load_latency > 1``).
+    Nothing fired and timed loads were in flight (``load_latency > 1``
+    or a cache model).
 ``waiting_operands``
     Nothing fired but tokens were live -- operands still in flight
     toward their consumers (includes pure fetch/retire-progress cycles
@@ -201,7 +202,7 @@ class EngineProfiler:
         self.node_cycles: Dict[object, float] = {}
         self._cycle_nodes: List[object] = []
         #: Populated only by cache-mode runs (see
-        #: :meth:`idle_memory` / :meth:`end_cycle_memory`).
+        #: :meth:`memory_stall` / :meth:`end_cycle_memory`).
         self.memory_stall_split: Dict[str, int] = {}
 
     def fire(self, key: object) -> None:
@@ -235,20 +236,6 @@ class EngineProfiler:
         if n_cycles > 0:
             self.stall_cycles[reason] += n_cycles
 
-    def idle_memory(self, n_cycles: int, miss_cycles: int) -> None:
-        """Batched memory stall with its hit/miss split (cache mode).
-
-        ``miss_cycles`` of the window are attributed to a last-level
-        miss in flight, the rest to slower-level hits; engines clamp
-        ``miss_cycles`` into ``[0, n_cycles]`` before calling.
-        """
-        if n_cycles > 0:
-            self.stall_cycles["memory_stall"] += n_cycles
-            split = self.memory_stall_split
-            split["miss"] = split.get("miss", 0) + miss_cycles
-            split["hit"] = split.get("hit", 0) + (n_cycles
-                                                 - miss_cycles)
-
     def memory_stall(self, start: int, end: int,
                      miss_until: Optional[List[int]]) -> None:
         """Batched memory stall over the cycles ``[start, end)``.
@@ -259,19 +246,30 @@ class EngineProfiler:
         latest last-level miss -- are misses and the rest hits.
         """
         n = end - start
-        if miss_until is None:
-            self.idle("memory_stall", n)
-        else:
-            miss = min(end, miss_until[0]) - start
-            self.idle_memory(n, max(0, min(n, miss)))
+        if n <= 0:
+            return
+        self.stall_cycles["memory_stall"] += n
+        if miss_until is not None:
+            miss = max(0, min(n, miss_until[0] - start))
+            split = self.memory_stall_split
+            split["miss"] = split.get("miss", 0) + miss
+            split["hit"] = split.get("hit", 0) + (n - miss)
 
-    def end_cycle_memory(self, miss: bool) -> None:
-        """Per-cycle memory stall with its hit/miss class (cache
-        mode); otherwise identical to ``end_cycle("memory_stall")``."""
+    def end_cycle_memory(self, cycle: int,
+                         miss_until: Optional[List[int]]) -> None:
+        """Close one sampled memory-stall cycle; ``cycle`` is the
+        recorder's cycle count after sampling it.
+
+        Takes the optional miss box like :meth:`memory_stall`: without
+        one this is ``end_cycle("memory_stall")``; in cache mode the
+        cycle is also counted as a miss while ``cycle <=
+        miss_until[0]`` and as a hit otherwise.
+        """
         self.end_cycle("memory_stall")
-        split = self.memory_stall_split
-        key = "miss" if miss else "hit"
-        split[key] = split.get(key, 0) + 1
+        if miss_until is not None:
+            split = self.memory_stall_split
+            key = "miss" if cycle <= miss_until[0] else "hit"
+            split[key] = split.get(key, 0) + 1
 
     def finish(self, machine: str, cycles: int, instructions: int,
                label_of: Optional[Callable[[object], str]] = None

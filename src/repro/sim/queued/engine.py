@@ -29,7 +29,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.compiler.flatten import FlatGraph
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.latency import load_delay
+from repro.sim.latency import UNTIMED, load_timing
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -61,14 +61,15 @@ class QueuedEngine:
         self.memory = memory
         self.queue_depth = queue_depth
         self.issue_width = issue_width
-        self.load_latency = load_latency
         self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel):
-        #: load delays come from cache probes, stores probe it too.
-        self._cache = cache
-        #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds the interpreted loop's hit/miss stall split.
-        self._miss_until: List[int] = [0]
+        #: The run's load timing (repro.sim.latency.load_timing): None
+        #: for idealized loads, else per-array (probe, base) bindings.
+        self._timing = load_timing(memory, load_latency, cache)
+        #: First cycle index past the latest last-level miss (None
+        #: unless the cache model times loads); bounds the interpreted
+        #: loop's hit/miss stall split.
+        self._miss_until = (self._timing.miss_until
+                            if self._timing is not None else None)
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
         self._profile = profile
 
@@ -209,8 +210,7 @@ class QueuedEngine:
         due_box = self._due_box
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        miss_until = self._miss_until if self._cache is not None \
-            else None
+        miss_until = self._miss_until
         while True:
             # Deterministic order: ascending node id.
             candidates = sorted(nc)
@@ -245,11 +245,7 @@ class QueuedEngine:
             if fired:
                 end_cycle("width_limited" if width_limited else "fired")
             elif self._inflight:
-                if miss_until is None:
-                    end_cycle("memory_stall")
-                else:
-                    prof.end_cycle_memory(
-                        metrics.cycles <= miss_until[0])
+                prof.end_cycle_memory(metrics.cycles, miss_until)
             else:
                 end_cycle("waiting_operands")
             if fired:
@@ -527,64 +523,15 @@ class QueuedEngine:
             n0, n1 = len(dests0), len(dests1)
             array = self._attrs[nid]["array"]
             mem_load = self.memory.load
-            latency = self.load_latency
+            timing = self._timing
+            probe, base = (timing.load(array) if timing is not None
+                           else UNTIMED)
+            miss_latency = timing.miss_latency if timing is not None \
+                else 0
+            miss_until = self._miss_until
             inflight = self._inflight
             due_box = self._due_box
             metrics = self.metrics
-
-            if self._cache is not None:
-                cache_load = self._cache.access_load
-                miss_latency = self._cache.miss_latency
-                miss_until = self._miss_until
-
-                def try_fire_load_cached():
-                    args = []
-                    for f, k, imm in spec:
-                        if f is None:
-                            args.append(imm)
-                        else:
-                            if len(f) - fresh_get(k, 0) <= 0:
-                                return False
-                            args.append(f[0])
-                    for f, k, d in dests0:
-                        if len(f) >= depth:
-                            return False
-                    for f, k, d in dests1:
-                        if len(f) >= depth:
-                            return False
-                    popped = False
-                    for f, k, imm in spec:
-                        if f is not None:
-                            f.popleft()
-                            livebox[0] -= 1
-                            popped = True
-                    if popped:
-                        nc_update(producers)
-                    value = mem_load(array, args[0])
-                    delay = cache_load(array, args[0])
-                    if delay <= 1 and nid not in inflight:
-                        for f, k, d in dests0:
-                            f.append(value)
-                            fresh[k] = fresh_get(k, 0) + 1
-                            nc_add(d)
-                        for f, k, d in dests1:
-                            f.append(0)
-                            fresh[k] = fresh_get(k, 0) + 1
-                            nc_add(d)
-                        livebox[0] += n0 + n1
-                    else:
-                        due = metrics.cycles + delay - 1
-                        if delay >= miss_latency \
-                                and due + 1 > miss_until[0]:
-                            miss_until[0] = due + 1
-                        queue = inflight.get(nid)
-                        if queue is None:
-                            inflight[nid] = queue = deque()
-                            if due < due_box[0]:
-                                due_box[0] = due
-                        queue.append((due, value))
-                    return True
-                return try_fire_load_cached
 
             def try_fire_load():
                 args = []
@@ -610,19 +557,8 @@ class QueuedEngine:
                 if popped:
                     nc_update(producers)
                 value = mem_load(array, args[0])
-                if latency <= 1 and nid not in inflight:
-                    for f, k, d in dests0:
-                        f.append(value)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    for f, k, d in dests1:
-                        f.append(0)
-                        fresh[k] = fresh_get(k, 0) + 1
-                        nc_add(d)
-                    livebox[0] += n0 + n1
-                    return True
-                delay = load_delay(latency, array, args[0])
-                if delay <= 1 and nid not in inflight:
+                if probe is None or ((delay := probe(base + args[0])) <= 1
+                                     and nid not in inflight):
                     for f, k, d in dests0:
                         f.append(value)
                         fresh[k] = fresh_get(k, 0) + 1
@@ -636,6 +572,9 @@ class QueuedEngine:
                     # Keep responses in issue order behind any slower
                     # predecessor from the same static load.
                     due = metrics.cycles + delay - 1
+                    if delay >= miss_latency \
+                            and due + 1 > miss_until[0]:
+                        miss_until[0] = due + 1
                     queue = inflight.get(nid)
                     if queue is None:
                         inflight[nid] = queue = deque()
@@ -653,8 +592,8 @@ class QueuedEngine:
             n0 = len(dests0)
             array = self._attrs[nid]["array"]
             mem_store = self.memory.store
-            cache_store = (self._cache.access_store
-                           if self._cache is not None else None)
+            probe, base = (self._timing.store(array)
+                           if self._timing is not None else UNTIMED)
 
             def try_fire_store():
                 args = []
@@ -677,8 +616,8 @@ class QueuedEngine:
                 if popped:
                     nc_update(producers)
                 mem_store(array, args[0], args[1])
-                if cache_store is not None:
-                    cache_store(array, args[0])
+                if probe is not None:
+                    probe(base + args[0])
                 for f, k, d in dests0:
                     f.append(0)
                     fresh[k] = fresh_get(k, 0) + 1

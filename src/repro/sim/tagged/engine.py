@@ -40,7 +40,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 from repro.errors import DeadlockError, SimulationError, TokenBoundExceeded
 from repro.compiler.graph import TaggedGraph
 from repro.ir.ops import OP_INFO, Op
-from repro.sim.latency import load_delay
+from repro.sim.latency import UNTIMED, load_timing
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -98,16 +98,16 @@ class TaggedEngine:
         self.memory = memory
         self.policy = policy
         self.issue_width = issue_width
-        self.load_latency = load_latency
         self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel);
-        #: when set, load delays come from cache probes instead of the
-        #: load_delay hash and stores probe it too.
-        self._cache = cache
+        #: The run's load timing (repro.sim.latency.load_timing): None
+        #: for idealized loads, else per-array (probe, base) bindings
+        #: over the load_delay hash or the cache model.
+        self._timing = load_timing(memory, load_latency, cache)
         #: First cycle index no longer stalled by the latest last-level
-        #: miss (cache mode only); the interpreted loop splits its
-        #: memory_stall attribution into hit/miss at this boundary.
-        self._miss_until: List[int] = [0]
+        #: miss (None unless the cache model times loads); the
+        #: interpreted loop splits memory_stall into hit/miss at it.
+        self._miss_until = (self._timing.miss_until
+                            if self._timing is not None else None)
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
         self._profile = profile
 
@@ -164,8 +164,8 @@ class TaggedEngine:
             id(p): deque() for p in self._unique_pools
         }
         self._dirty_pools: List[TagPool] = []
-        #: cycle index -> pending deposits maturing that cycle (loads
-        #: in flight under load_latency > 1).
+        #: cycle index -> pending deposits maturing that cycle (timed
+        #: loads in flight).
         self._delayed: Dict[int, List[tuple]] = {}
         self._livebox: List[int] = [0]
         self._results: Dict[int, object] = {}
@@ -319,8 +319,7 @@ class TaggedEngine:
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        miss_until = self._miss_until if self._cache is not None \
-            else None
+        miss_until = self._miss_until
         while True:
             if not ready:
                 if self._delayed:
@@ -636,69 +635,30 @@ class TaggedEngine:
             n0, n1 = len(edges0), len(edges1)
             array = attrs["array"]
             mem_load = self.memory.load
-            if self._cache is not None:
-                cache_load = self._cache.access_load
-                miss_latency = self._cache.miss_latency
-                miss_until = self._miss_until
-                metrics = self.metrics
-                delayed = self._delayed
-
-                def fire_load_cached(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= len(entry)
-                    addr = entry[0] if 0 in entry else imms[0]
-                    value = mem_load(array, addr)
-                    delay = cache_load(array, addr)
-                    if delay <= 1:
-                        for e in edges0:
-                            append((e[0], e[1], tag, value))
-                        for e in edges1:
-                            append((e[0], e[1], tag, 0))
-                    else:
-                        due = metrics.cycles + delay - 1
-                        if delay >= miss_latency \
-                                and due + 1 > miss_until[0]:
-                            miss_until[0] = due + 1
-                        bucket = delayed.get(due)
-                        if bucket is None:
-                            delayed[due] = bucket = []
-                        for e in edges0:
-                            bucket.append((e[0], e[1], tag, value))
-                        for e in edges1:
-                            bucket.append((e[0], e[1], tag, 0))
-                    livebox[0] += n0 + n1
-                return fire_load_cached
-
-            if self.load_latency <= 1:
-                def fire_load(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= len(entry)
-                    addr = entry[0] if 0 in entry else imms[0]
-                    value = mem_load(array, addr)
-                    for e in edges0:
-                        append((e[0], e[1], tag, value))
-                    for e in edges1:
-                        append((e[0], e[1], tag, 0))
-                    livebox[0] += n0 + n1
-                return fire_load
-
-            latency = self.load_latency
+            timing = self._timing
+            probe, base = (timing.load(array) if timing is not None
+                           else UNTIMED)
+            miss_latency = timing.miss_latency if timing is not None \
+                else 0
+            miss_until = self._miss_until
             metrics = self.metrics
             delayed = self._delayed
 
-            def fire_load_variable(tag):
+            def fire_load(tag):
                 entry = store.pop(tag)
                 livebox[0] -= len(entry)
                 addr = entry[0] if 0 in entry else imms[0]
                 value = mem_load(array, addr)
-                delay = load_delay(latency, array, addr)
-                if delay <= 1:
+                if probe is None or (delay := probe(base + addr)) <= 1:
                     for e in edges0:
                         append((e[0], e[1], tag, value))
                     for e in edges1:
                         append((e[0], e[1], tag, 0))
                 else:
                     due = metrics.cycles + delay - 1
+                    if delay >= miss_latency \
+                            and due + 1 > miss_until[0]:
+                        miss_until[0] = due + 1
                     bucket = delayed.get(due)
                     if bucket is None:
                         delayed[due] = bucket = []
@@ -707,27 +667,15 @@ class TaggedEngine:
                     for e in edges1:
                         bucket.append((e[0], e[1], tag, 0))
                 livebox[0] += n0 + n1
-            return fire_load_variable
+            return fire_load
 
         if op is Op.STORE:
             edges0 = edges[0]
             n0 = len(edges0)
             array = attrs["array"]
             mem_store = self.memory.store
-            if self._cache is not None:
-                cache_store = self._cache.access_store
-
-                def fire_store_cached(tag):
-                    entry = store.pop(tag)
-                    livebox[0] -= len(entry)
-                    addr = entry[0] if 0 in entry else imms[0]
-                    value = entry[1] if 1 in entry else imms[1]
-                    mem_store(array, addr, value)
-                    cache_store(array, addr)
-                    for e in edges0:
-                        append((e[0], e[1], tag, 0))
-                    livebox[0] += n0
-                return fire_store_cached
+            probe, base = (self._timing.store(array)
+                           if self._timing is not None else UNTIMED)
 
             def fire_store(tag):
                 entry = store.pop(tag)
@@ -735,6 +683,8 @@ class TaggedEngine:
                 addr = entry[0] if 0 in entry else imms[0]
                 value = entry[1] if 1 in entry else imms[1]
                 mem_store(array, addr, value)
+                if probe is not None:
+                    probe(base + addr)
                 for e in edges0:
                     append((e[0], e[1], tag, 0))
                 livebox[0] += n0

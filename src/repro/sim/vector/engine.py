@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
-from repro.sim.latency import load_delay
+from repro.sim.latency import UNTIMED, load_timing
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -71,17 +71,17 @@ class DataParallelEngine:
         self.program = program
         self.memory = memory
         self.lanes = lanes
-        #: Optional stateful cache model (repro.sim.cache.CacheModel).
-        #: Scalar (ticked) loads take their delay from cache probes
-        #: and ticked stores probe it too; vector-body accesses bypass
-        #: the model entirely -- classic vector machines stream memory
+        #: The run's load timing (repro.sim.latency.load_timing).
+        #: Scalar (ticked) loads stall the pipeline for their probed
+        #: latency and ticked stores probe it too; vector-body accesses
+        #: bypass it entirely -- classic vector machines stream memory
         #: through pipelined ports, which is the same idealization the
         #: silent steps already make for latency.
-        self._cache = cache
-        #: Scalar loads stall the pipeline for their latency; vector
-        #: sections assume pipelined (overlapped) memory, as classic
-        #: vector machines do.
-        self.load_latency = load_latency
+        self._timing = load_timing(memory, load_latency, cache)
+        #: End of the latest last-level-miss stall (None unless the
+        #: cache model times loads): the profiler's hit/miss split.
+        self._miss_until = (self._timing.miss_until
+                            if self._timing is not None else None)
         self.max_cycles = max_cycles
         self.metrics = MetricsRecorder(sample_traces=sample_traces)
         self._profile = profile
@@ -167,9 +167,10 @@ class DataParallelEngine:
         ``max_cycles + 1``-th cycle, with that final cycle sampled but
         not yet attributed by the profiled tick.
 
-        ``miss`` classifies the stall for the cache-mode profiler
-        split (the vector machine stalls synchronously, so the whole
-        window belongs to the one probe that caused it).
+        ``miss`` marks the stall as a last-level miss for the
+        cache-mode profiler split (the vector machine stalls
+        synchronously, so the whole window belongs to the one probe
+        that caused it).
         """
         if n_cycles <= 0:
             return
@@ -187,24 +188,21 @@ class DataParallelEngine:
             )
         metrics = self.metrics
         prof = self._profiler
-        allowed = self.max_cycles + 1 - metrics.cycles
+        start = metrics.cycles
+        if miss:
+            self._miss_until[0] = start + n_cycles
+        allowed = self.max_cycles + 1 - start
         if n_cycles >= allowed:
             metrics.sample_idle(live, allowed)
             if prof is not None:
-                if self._cache is None:
-                    prof.idle("memory_stall", allowed - 1)
-                else:
-                    prof.idle_memory(allowed - 1,
-                                     allowed - 1 if miss else 0)
+                prof.memory_stall(start, start + allowed - 1,
+                                  self._miss_until)
             raise SimulationError(
                 f"exceeded max_cycles={self.max_cycles}"
             )
         metrics.sample_idle(live, n_cycles)
         if prof is not None:
-            if self._cache is None:
-                prof.idle("memory_stall", n_cycles)
-            else:
-                prof.idle_memory(n_cycles, n_cycles if miss else 0)
+            prof.memory_stall(start, start + n_cycles, self._miss_until)
 
     def _exec_block(self, plan: VecBlockPlan,
                     args: List[object]) -> List[object]:
@@ -281,30 +279,11 @@ class DataParallelEngine:
             a0 = ins[0]
             o0, o1 = outs[0], outs[1]
             if ticked:
-                latency = self.load_latency
-                if self._cache is not None:
-                    cache_load = self._cache.access_load
-                    miss_latency = self._cache.miss_latency
-                    stall = self._stall_scalar_load
-
-                    def step_load_cached(env):
-                        tick(1, live)
-                        index = env[a0]
-                        env[o0] = mem_load(array, index)
-                        env[o1] = 0
-                        delay = cache_load(array, index)
-                        if delay > 1:
-                            stall(delay - 1, live,
-                                  delay >= miss_latency)
-                    return step_load_cached
-
-                if latency <= 1:
-                    def step_load_fast(env):
-                        tick(1, live)
-                        env[o0] = mem_load(array, env[a0])
-                        env[o1] = 0
-                    return step_load_fast
-
+                timing = self._timing
+                probe, base = (timing.load(array) if timing is not None
+                               else UNTIMED)
+                miss_latency = timing.miss_latency \
+                    if timing is not None else 0
                 stall = self._stall_scalar_load
 
                 def step_load(env):
@@ -312,9 +291,9 @@ class DataParallelEngine:
                     index = env[a0]
                     env[o0] = mem_load(array, index)
                     env[o1] = 0
-                    delay = load_delay(latency, array, index)
-                    if delay > 1:
-                        stall(delay - 1, live)
+                    if probe is not None \
+                            and (delay := probe(base + index)) > 1:
+                        stall(delay - 1, live, delay >= miss_latency)
                 return step_load
 
             def step_load_silent(env):
@@ -328,19 +307,14 @@ class DataParallelEngine:
             a0, a1 = ins[0], ins[1]
             o0 = outs[0]
             if ticked:
-                if self._cache is not None:
-                    cache_store = self._cache.access_store
-
-                    def step_store_cached(env):
-                        tick(1, live)
-                        mem_store(array, env[a0], env[a1])
-                        cache_store(array, env[a0])
-                        env[o0] = 0
-                    return step_store_cached
+                probe, base = (self._timing.store(array)
+                               if self._timing is not None else UNTIMED)
 
                 def step_store(env):
                     tick(1, live)
                     mem_store(array, env[a0], env[a1])
+                    if probe is not None:
+                        probe(base + env[a0])
                     env[o0] = 0
                 return step_store
 

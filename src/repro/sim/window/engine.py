@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import DeadlockError, SimulationError
 from repro.ir.ops import OP_INFO, Op
 from repro.ir.program import BlockKind, ContextProgram
-from repro.sim.latency import load_delay
+from repro.sim.latency import UNTIMED, load_timing
 from repro.sim.memory import Memory
 from repro.sim.metrics import ExecutionResult, MetricsRecorder
 from repro.sim.profile import EngineProfiler
@@ -121,14 +121,15 @@ class WindowEngine:
         self.window = window
         self.issue_width = issue_width
         self.fetch_width = fetch_width if fetch_width else window
-        self.load_latency = load_latency
         self.max_cycles = max_cycles
-        #: Optional stateful cache model (repro.sim.cache.CacheModel):
-        #: load delays come from cache probes, stores probe it too.
-        self._cache = cache
-        #: First cycle index past the latest last-level miss (cache
-        #: mode); bounds the interpreted loop's hit/miss stall split.
-        self._miss_until: List[int] = [0]
+        #: The run's load timing (repro.sim.latency.load_timing): None
+        #: for idealized loads, else per-array (probe, base) bindings.
+        self._timing = load_timing(memory, load_latency, cache)
+        #: First cycle index past the latest last-level miss (None
+        #: unless the cache model times loads); bounds the interpreted
+        #: loop's hit/miss stall split.
+        self._miss_until = (self._timing.miss_until
+                            if self._timing is not None else None)
         self.machine_name = machine_name or (
             "vn" if window == 1 and issue_width == 1 else "seqdf"
         )
@@ -260,8 +261,7 @@ class WindowEngine:
         max_cycles = self.max_cycles
         wd_horizon = watchdog_horizon(max_cycles)
         idle_streak = 0
-        miss_until = (self._miss_until if self._cache is not None
-                      else None)
+        miss_until = self._miss_until
         while True:
             # Issue: fire ready ops up to the shared width.
             fired = 0
@@ -360,11 +360,7 @@ class WindowEngine:
                     # kernels skip the max_cycles check here; mirror
                     # them).
                     sample(0, livebox[0])
-                    if miss_until is None:
-                        end_cycle("memory_stall")
-                    else:
-                        prof.end_cycle_memory(
-                            metrics.cycles <= miss_until[0])
+                    prof.end_cycle_memory(metrics.cycles, miss_until)
                     continue
                 if self._is_finished():
                     return True
@@ -375,11 +371,7 @@ class WindowEngine:
             if fired:
                 end_cycle("width_limited" if width_limited else "fired")
             elif delayed:
-                if miss_until is None:
-                    end_cycle("memory_stall")
-                else:
-                    prof.end_cycle_memory(
-                        metrics.cycles <= miss_until[0])
+                prof.end_cycle_memory(metrics.cycles, miss_until)
             elif livebox[0] > 0:
                 end_cycle("waiting_operands")
             else:
@@ -586,50 +578,22 @@ class WindowEngine:
         if op is Op.LOAD:
             array = p.attrs["array"]
             mem_load = self.memory.load
-            latency = self.load_latency
+            timing = self._timing
+            probe, base = (timing.load(array) if timing is not None
+                           else UNTIMED)
+            miss_latency = timing.miss_latency if timing is not None \
+                else 0
+            miss_until = self._miss_until
             metrics = self.metrics
             delayed = self._delayed
             imm0 = imms.get(0)
 
-            if self._cache is not None:
-                # Cache mode: the probe decides the delay; the miss
-                # box lets the interpreted loop split memory stalls into
-                # hit vs. last-level-miss cycles.
-                publish = self._publish
-                cache_load = self._cache.access_load
-                miss_latency = self._cache.miss_latency
-                miss_until = self._miss_until
-
-                def fire_load_cached(inst):
-                    entry = inst.wait.pop(op_id, _NO_ENTRY)
-                    livebox[0] -= n_t
-                    addr = entry[0] if 0 in entry else imm0
-                    value = mem_load(array, addr)
-                    delay = cache_load(array, addr)
-                    if delay <= 1:
-                        publish(inst, key0, value)
-                        publish(inst, key1, 0)
-                    else:
-                        due = metrics.cycles + delay - 1
-                        if (delay >= miss_latency
-                                and due + 1 > miss_until[0]):
-                            miss_until[0] = due + 1
-                        bucket = delayed.get(due)
-                        if bucket is None:
-                            delayed[due] = bucket = []
-                        bucket.append((inst, key0, value))
-                        bucket.append((inst, key1, 0))
-                return fire_load_cached
-
-            if latency <= 1:
-                # Idealized timing: every load publishes immediately
-                # (``load_delay`` is the constant 1), so skip the delay
-                # computation and inline both publishes.
-                def fire_load_fast(inst):
-                    entry = inst.wait.pop(op_id, _NO_ENTRY)
+            def fire_load(inst):
+                entry = inst.wait.pop(op_id, _NO_ENTRY)
+                addr = entry[0] if 0 in entry else imm0
+                value = mem_load(array, addr)
+                if probe is None or (delay := probe(base + addr)) <= 1:
                     inst.fired.add(op_id)
-                    addr = entry[0] if 0 in entry else imm0
-                    value = mem_load(array, addr)
                     inst.env[key0] = value
                     for d in cons0:
                         append((inst, d, value))
@@ -648,24 +612,15 @@ class WindowEngine:
                         if subs:
                             for target, target_key in subs:
                                 forward(target, target_key, 0)
-                return fire_load_fast
-
-            publish = self._publish
-
-            def fire_load(inst):
-                entry = inst.wait.pop(op_id, _NO_ENTRY)
-                livebox[0] -= n_t
-                addr = entry[0] if 0 in entry else imm0
-                value = mem_load(array, addr)
-                delay = load_delay(latency, array, addr)
-                if delay <= 1:
-                    publish(inst, key0, value)
-                    publish(inst, key1, 0)
                 else:
                     # Fires only at maturity: ``_publish`` marks
                     # ``inst.fired`` then, keeping the op pending for
                     # the retire scan until the value lands.
+                    livebox[0] -= n_t
                     due = metrics.cycles + delay - 1
+                    if (delay >= miss_latency
+                            and due + 1 > miss_until[0]):
+                        miss_until[0] = due + 1
                     bucket = delayed.get(due)
                     if bucket is None:
                         delayed[due] = bucket = []
@@ -678,27 +633,8 @@ class WindowEngine:
             mem_store = self.memory.store
             imm0 = imms.get(0)
             imm1 = imms.get(1)
-            cache_store = (self._cache.access_store
-                           if self._cache is not None else None)
-
-            if cache_store is not None:
-                def fire_store_cached(inst):
-                    entry = inst.wait.pop(op_id, _NO_ENTRY)
-                    inst.fired.add(op_id)
-                    addr = entry[0] if 0 in entry else imm0
-                    value = entry[1] if 1 in entry else imm1
-                    mem_store(array, addr, value)
-                    cache_store(array, addr)
-                    inst.env[key0] = 0
-                    for d in cons0:
-                        append((inst, d, 0))
-                    livebox[0] += d0
-                    if inst.subs:
-                        subs = inst.subs.pop(key0, None)
-                        if subs:
-                            for target, target_key in subs:
-                                forward(target, target_key, 0)
-                return fire_store_cached
+            probe, base = (self._timing.store(array)
+                           if self._timing is not None else UNTIMED)
 
             def fire_store(inst):
                 entry = inst.wait.pop(op_id, _NO_ENTRY)
@@ -706,6 +642,8 @@ class WindowEngine:
                 addr = entry[0] if 0 in entry else imm0
                 value = entry[1] if 1 in entry else imm1
                 mem_store(array, addr, value)
+                if probe is not None:
+                    probe(base + addr)
                 inst.env[key0] = 0
                 for d in cons0:
                     append((inst, d, 0))

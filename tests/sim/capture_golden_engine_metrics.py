@@ -66,6 +66,16 @@ GOLDEN_WINDOW_VARIANTS = (
     {"load_latency": 6},
 )
 
+#: Both load-timing models on a workload whose every machine issues
+#: scalar loads (dmv's datapar run vectorizes all of them): the
+#: ``load_latency`` hash and the stateful cache model, pinned on every
+#: golden machine before the engines shared one timed LOAD body.
+GOLDEN_TIMED_RUN = ("smv", "tiny")
+GOLDEN_TIMED_VARIANTS = (
+    {"load_latency": 6},
+    {"cache": "line=4,miss=60,l1=4x2x1"},
+)
+
 #: Window-geometry variants (seqdf only: vn/ooo pin their own
 #: window/width in the runner; datapar takes lanes from issue_width).
 GOLDEN_SEQDF_VARIANTS = (
@@ -111,6 +121,12 @@ def describe(result):
         rec["fetch_stall_window_cycles"] = (
             result.extra["fetch_stall_window_cycles"]
         )
+    if "cache" in result.extra:
+        rec["cache"] = [
+            [lvl["name"], lvl["loads"], lvl["load_hits"],
+             lvl["stores"], lvl["store_hits"]]
+            for lvl in result.extra["cache"]["levels"]
+        ]
     return rec
 
 
@@ -164,6 +180,14 @@ def capture(include_large=True):
         golden[run_key("dmv", "tiny", "seqdf", variant)] = (
             describe(res)
         )
+    name, scale = GOLDEN_TIMED_RUN
+    wl = build_workload(name, scale)
+    for machine in GOLDEN_MACHINES + GOLDEN_WINDOW_MACHINES:
+        for variant in GOLDEN_TIMED_VARIANTS:
+            res = wl.run_checked(machine, **variant)
+            golden[run_key(name, scale, machine, variant)] = (
+                describe(res)
+            )
     return golden
 
 

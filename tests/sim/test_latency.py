@@ -1,10 +1,18 @@
-"""Unit tests for the memory-latency model."""
+"""Unit tests for the memory-latency model and the load-timing seam."""
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.harness.runner import PAPER_SYSTEMS
 from repro.sim import latency
-from repro.sim.latency import load_delay
+from repro.sim.cache import CacheConfig, CacheModel
+from repro.sim.latency import UNTIMED, load_delay, load_timing
+from repro.sim.memory import Memory
+from repro.sim.queued.engine import QueuedEngine
+from repro.sim.tagged.engine import TaggedEngine
+from repro.sim.tagged.tagspace import TyrPolicy
+from repro.sim.vector.engine import DataParallelEngine
+from repro.sim.window.engine import WindowEngine
 from repro.workloads import build_workload
 
 
@@ -84,3 +92,76 @@ def test_latency_preserves_ordered_fifo_semantics():
         wl = build_workload(name, "tiny")
         res = wl.run_checked("ordered", load_latency=13)
         assert res.completed
+
+
+# ---------------------------------------------------------------------------
+# load_timing: the one place a run's load-timing model is chosen.
+
+SPEC = "line=4,miss=60,l1=4x2x1"
+
+
+def _memory():
+    return Memory({"A": list(range(40)), "B": list(range(24))})
+
+
+def test_load_timing_unit_latency_is_none():
+    assert load_timing(_memory(), 1) is None
+    assert load_timing(_memory(), 0, None) is None
+
+
+def test_load_timing_hash_probe_is_load_delay():
+    timing = load_timing(_memory(), 9)
+    for array in ("A", "B", "unbound"):
+        probe, base = timing.load(array)
+        assert base == 0
+        for i in range(300):
+            assert probe(base + i) == load_delay(9, array, i)
+        # The hash model leaves stores untimed.
+        assert timing.store(array) == UNTIMED
+    # No hash delay reaches the miss latency, and there is no miss box:
+    # profiles keep one unsplit memory_stall.
+    assert timing.miss_latency > 9
+    assert timing.miss_until is None
+
+
+def test_load_timing_cache_probe_matches_access_load():
+    config = CacheConfig.parse("line=4,miss=60,l1=4x2x1,l2=8x2x5")
+    mem = _memory()
+    model, twin = CacheModel(config, mem), CacheModel(config, mem)
+    timing = load_timing(mem, 1, model)
+    assert timing.miss_latency == 60
+    assert timing.miss_until == [0]
+    accesses = [("A", i) for i in range(0, 40, 3)] \
+        + [("B", i) for i in range(23, -1, -2)] \
+        + [("A", i) for i in range(39, 0, -5)]
+    for array, i in accesses:
+        probe, base = timing.load(array)
+        assert probe(base + i) == twin.access_load(array, i)
+        sprobe, sbase = timing.store(array)
+        sprobe(sbase + i)
+        twin.access_store(array, i)
+    assert (model.load_hits, model.load_misses) == \
+        (twin.load_hits, twin.load_misses)
+    assert (model.store_hits, model.store_misses) == \
+        (twin.store_hits, twin.store_misses)
+    assert model.stats(100) == twin.stats(100)
+
+
+#: Every engine class, constructed directly (no harness check).
+_ENGINES = {
+    "tagged": lambda cw, mem, **kw: TaggedEngine(cw.tagged, mem,
+                                                 TyrPolicy(4), **kw),
+    "queued": lambda cw, mem, **kw: QueuedEngine(cw.flat, mem, **kw),
+    "window": lambda cw, mem, **kw: WindowEngine(cw.program, mem, **kw),
+    "vector": lambda cw, mem, **kw: DataParallelEngine(cw.program, mem,
+                                                       **kw),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+def test_engines_reject_cache_with_load_latency(engine):
+    cw = build_workload("dmv", "tiny").compiled
+    mem = _memory()
+    model = CacheModel(CacheConfig.parse(SPEC), mem)
+    with pytest.raises(SimulationError, match="mutually exclusive"):
+        _ENGINES[engine](cw, mem, load_latency=4, cache=model)

@@ -163,6 +163,20 @@ def test_engine_profiler_memory_stall_split():
     assert prof.memory_stall_split == {"miss": 5, "hit": 6}
 
 
+def test_engine_profiler_end_cycle_memory_split():
+    """Per-cycle memory stalls take the optional miss box like
+    ``memory_stall``: plain without one, else a miss while the sampled
+    cycle count is at most ``miss_until[0]``."""
+    prof = EngineProfiler()
+    prof.end_cycle_memory(3, None)
+    assert prof.memory_stall_split == {}
+    prof.end_cycle_memory(4, [5])     # miss
+    prof.end_cycle_memory(5, [5])     # miss (boundary)
+    prof.end_cycle_memory(6, [5])     # hit
+    assert prof.stall_cycles["memory_stall"] == 4
+    assert prof.memory_stall_split == {"miss": 2, "hit": 1}
+
+
 def test_engine_profiler_label_merging():
     prof = EngineProfiler()
     prof.fire(1)
