@@ -6,8 +6,7 @@ Examples::
     tyr-repro run dmv --machine tyr --scale default --tags 8
     tyr-repro experiment fig12 --scale default
     tyr-repro experiment all --scale small
-    tyr-repro worker-serve --port 7341 --jobs 4
-    tyr-repro experiment fig05 --jobs 2 --hosts hostA:7341,hostB:7341
+    tyr-repro experiment fig05 --jobs 2 --timeout 600 --run-log log.jsonl
     tyr-repro cache gc --max-size 2G --max-age 7d
 """
 
@@ -88,12 +87,8 @@ def _cmd_experiment(args) -> int:
     else:
         names = [args.name]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    hosts = tuple(h.strip() for h in (args.hosts or "").split(",")
-                  if h.strip())
     options = RunOptions(timeout=args.timeout, retries=args.retries,
-                         run_log=args.run_log, progress=args.progress,
-                         hosts=hosts,
-                         cost_logs=tuple(args.cost_log or ()))
+                         run_log=args.run_log, progress=args.progress)
     for name in names:
         start = time.time()
         report = get_experiment(name)(scale=args.scale,
@@ -202,13 +197,16 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_worker_serve(args) -> int:
-    from repro.harness.remote import serve
-
-    serve(port=args.port, jobs=args.jobs, bind=args.bind,
-          cache_dir=args.cache_dir, use_cache=not args.no_cache,
-          once=args.serve_once, fail_after=args.fail_after)
-    return 0
+def parse_jobs(text: str) -> int:
+    """``--jobs`` value: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad job count {text!r} (need an integer >= 1)")
+    return jobs
 
 
 def parse_size(text: str) -> int:
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("name",
                        choices=sorted(EXPERIMENTS) + ["all"])
     exp_p.add_argument("--scale", default="default")
-    exp_p.add_argument("--jobs", "-j", type=int, default=1,
+    exp_p.add_argument("--jobs", "-j", type=parse_jobs, default=1,
                        help="fan simulation runs over N worker "
                             "processes")
     exp_p.add_argument("--no-cache", action="store_true",
@@ -321,43 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--progress", action="store_true",
                        help="live done/total, cache-hit rate, and ETA "
                             "line on stderr")
-    exp_p.add_argument("--hosts", default=None,
-                       metavar="HOST:PORT,...",
-                       help="comma-separated tyr-repro worker-serve "
-                            "agents to shard the sweep across "
-                            "(alongside --jobs local workers; "
-                            "--jobs 0 runs purely remote)")
-    exp_p.add_argument("--cost-log", action="append", default=None,
-                       metavar="FILE",
-                       help="extra JSONL run log(s) whose historical "
-                            "wall_s seed the longest-first scheduler "
-                            "(--run-log, if a path, is always "
-                            "consulted)")
-
-    ws_p = sub.add_parser(
-        "worker-serve",
-        help="serve this host's fork pool to remote sweeps over TCP",
-    )
-    ws_p.add_argument("--port", type=int, required=True,
-                      help="TCP port to listen on")
-    ws_p.add_argument("--bind", default="127.0.0.1",
-                      help="interface to bind (default 127.0.0.1; the "
-                           "protocol is unauthenticated pickle -- "
-                           "expose it to trusted networks only)")
-    ws_p.add_argument("--jobs", "-j", type=int, default=None,
-                      help="forked workers to run (default: cores-1)")
-    ws_p.add_argument("--cache-dir", default=None,
-                      help="result cache consulted before running "
-                           "anything (default $REPRO_CACHE_DIR or "
-                           ".repro-cache)")
-    ws_p.add_argument("--no-cache", action="store_true",
-                      help="run every spec, cache nothing")
-    ws_p.add_argument("--serve-once", action="store_true",
-                      help="exit after one client session (tests/CI)")
-    ws_p.add_argument("--fail-after", type=int, default=None,
-                      metavar="N",
-                      help="chaos hook: hard-exit after streaming N "
-                           "results (failover drills)")
 
     cache_p = sub.add_parser("cache",
                              help="manage the on-disk result cache")
@@ -447,8 +408,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_trace(args)
         if args.command == "profile":
             return _cmd_profile(args)
-        if args.command == "worker-serve":
-            return _cmd_worker_serve(args)
         if args.command == "cache":
             return _cmd_cache_gc(args)
     except ReproError as err:

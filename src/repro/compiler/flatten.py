@@ -155,9 +155,9 @@ class _Flattener:
         """Clone ``block`` into the graph; returns result sources.
 
         ``trigger`` is a source producing exactly one token per
-        activation of this block (inherited from the enclosing scope
-        when every argument folded to an immediate -- possible when a
-        caller passed only literals).
+        activation of this block (the call site's control-region
+        trigger when every argument folded to an immediate -- possible
+        when a caller passed only literals).
         """
         if depth > 64:
             raise CompileError("call nesting too deep while inlining")
@@ -203,7 +203,9 @@ class _Flattener:
             self._connect(init_srcs[i], mu, 0)
             mus.append(mu)
             param_srcs.append(("node", mu.node_id, 0))
-        values = self._instantiate_body(block, param_srcs, depth, trigger)
+        # The body runs once per iteration, and so does every mu.
+        values = self._instantiate_body(block, param_srcs, depth,
+                                        param_srcs[0] if mus else trigger)
         decider = self._resolve(term.decider, param_srcs, values)
         if decider[0] == "imm":
             raise CompileError(
@@ -225,23 +227,46 @@ class _Flattener:
     def _instantiate_body(self, block: BlockDef, param_srcs: List[Src],
                           depth: int, trigger: Src
                           ) -> Dict[Tuple[int, int], Src]:
-        """Clone the block's ops; returns (op, port) -> source map."""
+        """Clone the block's ops; returns (op, port) -> source map.
+
+        ``trigger`` fires once per execution of the block's top region.
+        Inlining can fold every input of an instruction (or every
+        argument of a call) to an immediate; such an instruction still
+        must fire exactly once per execution of *its own* control
+        region, so it is materialized off that region's trigger: a
+        steer of the enclosing region's trigger on each guarding
+        decider, built on first use.
+        """
         values: Dict[Tuple[int, int], Src] = {}
+        guards = block.guard_chain()
+        triggers: Dict[Tuple, Src] = {(): trigger}
+
+        def region_trigger(chain: Tuple) -> Src:
+            src = triggers.get(chain)
+            if src is None:
+                decider, sense = chain[-1]
+                st = self.g.new_node(Op.STEER, 2, 2, sense=sense)
+                self._connect(self._resolve(decider, param_srcs, values),
+                              st, 0)
+                self._connect(region_trigger(chain[:-1]), st, 1)
+                src = triggers[chain] = ("node", st.node_id, 0)
+            return src
+
         for op in block.ops:
             srcs = [self._resolve(r, param_srcs, values)
                     for r in op.inputs]
+            folded = all(s[0] == "imm" for s in srcs)
             if op.op is Op.SPAWN:
                 callee = self.program.block(op.attrs["callee"])
-                results = self._instantiate(callee, srcs, depth + 1,
-                                            trigger)
+                results = self._instantiate(
+                    callee, srcs, depth + 1,
+                    region_trigger(guards[op.op_id]) if folded else trigger)
                 for port, src in enumerate(results):
                     values[(op.op_id, port)] = src
                 continue
-            if srcs and all(s[0] == "imm" for s in srcs):
-                # Inlining a call with literal arguments can fold every
-                # input of an instruction to an immediate; it still must
-                # fire once per activation.
-                srcs[0] = self._materialize(srcs[0][1], trigger)
+            if srcs and folded:
+                srcs[0] = self._materialize(
+                    srcs[0][1], region_trigger(guards[op.op_id]))
             node = self.g.new_node(op.op, len(op.inputs), op.n_outputs,
                                    **dict(op.attrs))
             for port, src in enumerate(srcs):

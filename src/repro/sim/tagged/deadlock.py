@@ -26,7 +26,7 @@ which are authoritative: they are exactly what the ablation policies
 toggle.
 
 Every field is built from primitives (strings, ints, tuples) so a
-diagnosis pickles across the remote-worker boundary byte-for-byte;
+diagnosis pickles across the pool-worker boundary byte-for-byte;
 ``__reduce__`` pins that contract.
 """
 

@@ -23,7 +23,7 @@ the spare) -- while the speculative holders wait on data that
 transitively depends on those starved externals: deadlock. Leaving
 two tags keeps the strongest gated claim (a ready spare external)
 satisfiable at all times, which restores Theorem 2. See
-docs/ARCHITECTURE.md section 13.
+docs/ARCHITECTURE.md section 12.
 """
 
 from __future__ import annotations

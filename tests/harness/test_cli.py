@@ -117,3 +117,16 @@ def test_bad_workload_rejected():
 def test_bad_scale_is_clean_error(capsys):
     assert main(["run", "dmv", "--scale", "galactic"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_experiment_rejects_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["experiment", "tab01", "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_experiment_accepts_one_job():
+    args = build_parser().parse_args(["experiment", "tab01", "-j", "1"])
+    assert args.jobs == 1

@@ -97,18 +97,3 @@ def test_run_log_records_profile_summaries(tmp_path):
     # The profile event follows its spec's finished event.
     kinds = [e["event"] for e in events]
     assert kinds.index("profile") == kinds.index("finished") + 1
-
-
-def test_progress_line_renders_per_host_throughput():
-    stream = io.StringIO()
-    progress = ProgressLine(4, enabled=True, stream=stream)
-    progress.host_result("local")
-    progress.finished()
-    progress.host_result("10.0.0.2:7341")
-    progress.finished()
-    progress.host_result("local")
-    progress.finished()
-    progress.close()
-    out = stream.getvalue()
-    assert "10.0.0.2:7341=1" in out
-    assert "local=2" in out

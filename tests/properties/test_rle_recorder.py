@@ -9,8 +9,10 @@ produce).
 """
 
 import pickle
+import zlib
+from array import array
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.metrics import MetricsRecorder, RLETrace
@@ -169,24 +171,53 @@ def test_pickle_round_trip_and_size(events):
     assert len(blob) <= 200 + 16 * max(clone.n_runs, 1)
 
 
+def _wire_entries(trace):
+    """Entry count of each run array in ``trace``'s pickled form.
+
+    Read back from exactly what pickling writes (the packed
+    ``__reduce__`` arguments: a typecode and a compressed blob per
+    array), so an encoding that grew with the trace length would show
+    here.
+    """
+    _, (values_code, values_blob, counts_code, counts_blob) = \
+        trace.__reduce__()
+    return [len(zlib.decompress(blob)) // array(code).itemsize
+            for code, blob in ((values_code, values_blob),
+                               (counts_code, counts_blob))]
+
+
 @given(events=_EVENTS)
+# Stretching pushes one run count past 127, which widens the whole
+# pickled counts array from int8 to int16: 103 -> 120 bytes.
+@example(events=[("sample", 0, 0), ("idle", 1, 2), ("idle", 0, 1),
+                 ("idle", 2, 3), ("sample", 0, 1), ("sample", 0, 0),
+                 ("sample", 0, 0), ("sample", 0, 1), ("sample", 0, 0),
+                 ("sample", 0, 0), ("sample", 0, 0), ("sample", 0, 1),
+                 ("idle", 0, 1), ("sample", 0, 0), ("sample", 0, 1),
+                 ("idle", 0, 3), ("idle", 1, 1), ("idle", 0, 2),
+                 ("idle", 0, 30)])
 @_SETTINGS
 def test_rle_size_monotone_in_compressibility(events):
-    """Stretching idle spans lengthens runs without adding any, so
-    the RLE pickle does not grow -- while the equivalent list pickle
-    grows with every extra cycle."""
+    """Stretching idle spans lengthens runs without adding any, so at
+    equal width the RLE wire payload does not grow -- while the
+    equivalent list pickle grows with every extra cycle.
+
+    The payload is compared in entries, i.e. at equal width: the
+    packer narrows each array to the smallest typecode its values fit,
+    so a stretched count crossing 127 doubles the counts array's width
+    in one step. That step depends on the largest count, not on the
+    trace length, and compressed sizes would mix it with compressor
+    variance.
+    """
     rle_once, ref_once = _replay(events)
     stretched = [(k, a, b if k == "sample" else b * 4)
                  for k, a, b in events]
     rle_long, ref_long = _replay(stretched)
     assert rle_long.live_trace.n_runs <= rle_once.live_trace.n_runs
-    blob_once = pickle.dumps(rle_once.live_trace,
-                             protocol=pickle.HIGHEST_PROTOCOL)
-    blob_long = pickle.dumps(rle_long.live_trace,
-                             protocol=pickle.HIGHEST_PROTOCOL)
-    # Same or fewer runs -> same or smaller wire size, up to a few
-    # bytes of compressor variance on the stretched run counts.
-    assert len(blob_long) <= len(blob_once) + 16
+    once = _wire_entries(rle_once.live_trace)
+    long = _wire_entries(rle_long.live_trace)
+    assert once == [rle_once.live_trace.n_runs] * 2
+    assert all(n_long <= n_once for n_long, n_once in zip(long, once))
     if len(ref_long.live_trace) > len(ref_once.live_trace):
         list_once = pickle.dumps(ref_once.live_trace,
                                  protocol=pickle.HIGHEST_PROTOCOL)

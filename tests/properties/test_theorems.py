@@ -87,6 +87,11 @@ def test_unordered_dataflow_matches_reference(seed):
 
 
 @given(seed=SEEDS)
+# All-immediate ops materialized off the block trigger instead of
+# their own control region: seed 2765 fired an untaken branch's
+# SELECTs, seed 1540 fired a loop-body constant once per activation.
+@example(seed=1540)
+@example(seed=2765)
 @_SETTINGS
 def test_ordered_dataflow_matches_reference(seed):
     cw = _compile(seed)

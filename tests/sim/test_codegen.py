@@ -8,7 +8,6 @@ back to the closure interpreters.
 """
 
 import ast
-import json
 import pickle
 import re
 import tracemalloc
@@ -323,29 +322,3 @@ def test_every_machine_has_a_family(wl):
     from repro.harness.runner import MACHINES
     assert set(KERNEL_FAMILY) == set(MACHINES)
     assert set(KERNEL_FAMILY.values()) == set(FAMILIES)
-
-
-# ----------------------------------------------------------------- bench
-
-
-def test_bench_compare_smoke(tmp_path, capsys):
-    from repro import bench
-
-    def record(path, ips):
-        path.write_text(json.dumps({
-            "date": "2026-08-08T00:00:00",
-            "cases": {k: {"instructions": 1000,
-                          "best_seconds": 1000 / v,
-                          "instrs_per_sec": v}
-                      for k, v in ips.items()},
-        }))
-
-    a, b = tmp_path / "A.json", tmp_path / "B.json"
-    record(a, {"dmv/small/tyr": 1000.0, "only/in/a": 500.0})
-    record(b, {"dmv/small/tyr": 2000.0, "only/in/b": 700.0})
-    assert bench.main(["--compare", str(a), str(b)]) == 0
-    out = capsys.readouterr().out
-    assert "2.00x" in out
-    assert "geomean" in out
-    # Cases present in only one record are listed but unrated.
-    assert "only/in/a" in out and "only/in/b" in out
