@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        required=True)
     gc_p = cache_sub.add_parser(
         "gc",
-        help="prune cached results/plans, least-recently-used first",
+        help="prune cached results, least-recently-used first",
     )
     gc_p.add_argument("--max-size", type=parse_size, default=None,
                       metavar="SIZE",
@@ -338,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(e.g. 7d, 12h, 900s)")
     gc_p.add_argument("--cache-dir", default=None,
                       help="cache directory (default $REPRO_CACHE_DIR "
-                           "or .repro-cache); the nested plans/ "
-                           "compile cache is pruned too")
+                           "or .repro-cache)")
 
     ins_p = sub.add_parser(
         "inspect", help="show a workload's concurrent blocks"

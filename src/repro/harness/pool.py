@@ -15,14 +15,12 @@ and experiment driver:
 * with a :class:`~repro.harness.cache.ResultCache`, the parent first
   resolves hits and only dispatches misses (successful runs are
   written back; failures are never cached);
-* workers are forked, and the parent **precompiles** every artifact
+* workers are forked, and the parent **precompiles** every lowering
   the pending specs need first (:func:`precompile_specs`) -- programs,
-  tagged/flat graphs -- so children inherit finished lowerings through
-  copy-on-write pages; a per-process memo (:data:`_WL_MEMO`) still
-  covers anything built after the fork. With a result cache, compiled
-  artifacts also persist across processes in a
-  :class:`~repro.harness.cache.CompileCache` under
-  ``<cache-root>/plans``;
+  tagged/flat graphs, generated kernels -- so children inherit them
+  through copy-on-write pages; the per-process memos (:data:`_WL_MEMO`
+  and the runner's compile memo) still cover anything built after the
+  fork;
 * :class:`~repro.errors.DeadlockError` / ``SimulationError`` raised by
   a run are re-raised with the failing workload, machine, and config
   appended to the message -- essential once failures surface from pool
@@ -65,7 +63,7 @@ from repro.errors import (
     UnexpectedRunError,
     WorkerCrashError,
 )
-from repro.harness.cache import CompileCache, ResultCache, result_key
+from repro.harness.cache import ResultCache, result_key
 from repro.harness.runlog import ProgressLine, RunLog
 from repro.harness.runner import _TAGGED_MACHINES, kernel_family_for
 from repro.sim.metrics import ExecutionResult
@@ -182,55 +180,29 @@ def cache_key(spec: RunSpec) -> str:
     )
 
 
-def precompile_specs(specs: Sequence[RunSpec],
-                     plan_cache: Optional[CompileCache] = None
-                     ) -> None:
-    """Materialize every compiled artifact the specs need, in the
-    parent, before any fork.
+def precompile_specs(specs: Sequence[RunSpec]) -> None:
+    """Materialize every lowering the specs need, in the parent,
+    before any fork.
 
     Touching the lazy properties here means forked workers inherit the
     finished lowerings through copy-on-write pages instead of each
-    recompiling them: ``.program`` (the frontend lowering) for every
+    recompiling them: ``.compiled`` (the frontend lowering) for every
     spec, plus the machine-specific lowering -- the elaborated tagged
-    graph for tagged machines, the flattened graph for ``ordered``.
-    The window and data-parallel engines execute the context program
-    directly, so ``.program`` covers them.
-
-    With a ``plan_cache``, each lowering is first looked up in (and on
-    a miss written back to) the persistent store, so a *new* parent
-    process skips recompilation entirely for programs any earlier run
-    already lowered.
+    graph for tagged machines, the flattened graph for ``ordered`` --
+    and the generated kernels of every spec that runs them. The window
+    and data-parallel engines execute the context program directly, so
+    ``.compiled`` covers their lowering.
     """
-    def ensure(compiled, kind: str, attr: str):
-        artifact = getattr(compiled, attr)  # force the lazy lowering
-        # Backfill the store for artifacts materialized before the
-        # plan cache was attached (e.g. by an earlier serial run).
-        if (plan_cache is not None
-                and plan_cache.get_plan(compiled.fingerprint,
-                                        kind) is None):
-            plan_cache.put_plan(compiled.fingerprint, kind, artifact)
-
     seen: set = set()
-    built: set = set()
     for spec in specs:
-        memo = _memo_key(spec)
         compiled = workload_for(spec).compiled
-        if (memo, spec.machine) not in seen:
-            seen.add((memo, spec.machine))
-            if plan_cache is not None:
-                compiled.plan_cache = plan_cache
-            compiled.program  # noqa: B018 -- force the frontend lowering
-            if spec.machine in _TAGGED_MACHINES:
-                ensure(compiled, "tagged", "tagged")
-            elif spec.machine == "ordered":
-                ensure(compiled, "flat", "flat")
-        # Generated kernels: compile (or load from the store) in the
-        # parent so forked workers inherit the warm module through
-        # copy-on-write instead of each re-exec'ing the source -- but
-        # only for specs that will run them.
+        if spec.machine in _TAGGED_MACHINES:
+            compiled.tagged  # noqa: B018 -- force the lowering
+        elif spec.machine == "ordered":
+            compiled.flat  # noqa: B018 -- force the lowering
         family = kernel_family_for(spec.machine, **_config_kwargs(spec))
-        if family is not None and (memo, family) not in built:
-            built.add((memo, family))
+        if family is not None and (_memo_key(spec), family) not in seen:
+            seen.add((_memo_key(spec), family))
             compiled.kernels(family)
 
 
@@ -513,7 +485,6 @@ def _run_pool(specs: List[RunSpec], pending: Sequence[int],
 def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
               cache: Optional[ResultCache] = None,
               tolerate: Tuple[Type[BaseException], ...] = (),
-              plan_cache: Optional[CompileCache] = None,
               options: Optional[RunOptions] = None,
               ) -> List[object]:
     """Execute specs, in order, optionally cached and in parallel.
@@ -532,17 +503,12 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
     per-run wall-clock timeout, bounded crash retry, a JSON-lines run
     log, and a live progress line; see :class:`RunOptions`.
 
-    When a result ``cache`` is given without an explicit
-    ``plan_cache``, compiled artifacts persist to
-    ``<cache.root>/plans`` (see :class:`CompileCache`). Before forking
-    workers, the parent precompiles every artifact the pending specs
-    need (:func:`precompile_specs`) so children inherit them
-    copy-on-write instead of recompiling per worker.
+    Before forking workers, the parent precompiles every lowering the
+    pending specs need (:func:`precompile_specs`) so children inherit
+    them copy-on-write instead of recompiling per worker.
     """
     specs = list(specs)
     opts = options or RunOptions()
-    if plan_cache is None and cache is not None:
-        plan_cache = CompileCache(os.path.join(cache.root, "plans"))
 
     log: Optional[RunLog] = None
     owns_log = False
@@ -639,10 +605,9 @@ def run_specs(specs: Sequence[RunSpec], jobs: int = 1,
 
         use_pool = bool(pending) and (
             (jobs > 1 and len(pending) > 1) or opts.timeout is not None)
-        if pending and (use_pool or plan_cache is not None):
-            precompile_specs([specs[i] for i in pending], plan_cache)
         try:
             if use_pool:
+                precompile_specs([specs[i] for i in pending])
                 _run_pool(specs, pending, max(1, min(jobs, len(pending))),
                           opts, log, deliver)
             else:

@@ -1,9 +1,10 @@
 """Uniform runner across all machine models (paper Sec. VI).
 
 ``run_program`` executes one context program on one machine and
-returns an :class:`ExecutionResult`. :class:`CompiledWorkload` caches
-the per-machine compiled artifacts (elaborated tagged graph, flat
-graph) so sweeps do not recompile.
+returns an :class:`ExecutionResult`. :class:`CompiledWorkload` hands
+out the per-machine lowerings (elaborated tagged graph, flat graph,
+generated kernels) from one per-process memo, so sweeps do not
+recompile.
 
 Machine names:
 
@@ -21,7 +22,7 @@ Machine names:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.compiler.elaborate import elaborate
@@ -88,8 +89,18 @@ def kernel_family_for(machine: str, *, codegen: bool = True,
     return KERNEL_FAMILY.get(machine)
 
 
+#: Per-process compile memo: ``(program fingerprint, kind) ->``
+#: lowering, for kinds ``"tagged"`` (elaborated graph), ``"flat"``
+#: (flattened graph) and ``"kernels-<family>"`` (compiled generated
+#: module). Each is a pure function of the program, so every
+#: :class:`CompiledWorkload` of one program shares them, and forked
+#: sweep workers inherit what ``pool.precompile_specs`` built.
+_COMPILED: Dict[Tuple[str, str], object] = {}
+
+
 class CompiledWorkload:
-    """A context program plus lazily compiled machine artifacts.
+    """A context program plus its lazily compiled machine lowerings,
+    shared through the per-process compile memo.
 
     ``optimize=True`` runs the :mod:`repro.compiler.passes` pipeline
     (copy/select folding, algebraic simplification, dead-op
@@ -101,36 +112,22 @@ class CompiledWorkload:
             from repro.compiler.passes import optimize_program
             optimize_program(program)
         self.program = program
-        self._tagged = None
-        self._flat = None
         self._fingerprint: Optional[str] = None
-        self._kernels: Dict[str, object] = {}
-        #: Optional :class:`~repro.harness.cache.CompileCache`; when
-        #: set, elaboration/flattening first consult the on-disk store
-        #: and write back on a miss.
-        self.plan_cache = None
 
-    def _lowered(self, kind: str, build):
-        if self.plan_cache is not None:
-            artifact = self.plan_cache.get_plan(self.fingerprint, kind)
-            if artifact is not None:
-                return artifact
-        artifact = build(self.program)
-        if self.plan_cache is not None:
-            self.plan_cache.put_plan(self.fingerprint, kind, artifact)
-        return artifact
+    def _memoized(self, kind: str, build):
+        key = (self.fingerprint, kind)
+        value = _COMPILED.get(key)
+        if value is None:
+            value = _COMPILED[key] = build()
+        return value
 
     @property
     def tagged(self):
-        if self._tagged is None:
-            self._tagged = self._lowered("tagged", elaborate)
-        return self._tagged
+        return self._memoized("tagged", lambda: elaborate(self.program))
 
     @property
     def flat(self):
-        if self._flat is None:
-            self._flat = self._lowered("flat", flatten)
-        return self._flat
+        return self._memoized("flat", lambda: flatten(self.program))
 
     @property
     def fingerprint(self) -> str:
@@ -151,37 +148,14 @@ class CompiledWorkload:
 
     def kernels(self, family: str):
         """The compiled generated-kernel module for one engine family
-        (memoized; consults ``plan_cache`` under ``kernels-<family>``).
-
-        Generated source is a pure function of the lowered plan, so
-        the artifact is shared exactly like the lowered graphs: cached
-        on disk once, inherited warm by forked sweep workers after
-        ``pool.precompile_specs``.
-        """
+        (memoized under ``kernels-<family>``)."""
         from repro.sim import codegen
 
-        mod = self._kernels.get(family)
-        if mod is not None:
-            return mod
-        kind = "kernels-" + family
-        if self.plan_cache is not None:
-            artifact = self.plan_cache.get_plan(self.fingerprint, kind)
-            if artifact is not None:
-                mod = codegen.load_kernels(artifact, family,
-                                           self.fingerprint)
-                if mod is not None:
-                    self._kernels[family] = mod
-                    return mod
-        mod = codegen.memoized_kernels(family, self.fingerprint)
-        if mod is None:
+        def build():
             source = codegen.generate_source(family, self)
-            mod = codegen.compile_kernels(source, family,
-                                          self.fingerprint)
-        if self.plan_cache is not None:
-            self.plan_cache.put_plan(self.fingerprint, kind,
-                                     mod.artifact())
-        self._kernels[family] = mod
-        return mod
+            return codegen.compile_kernels(source, family,
+                                           self.fingerprint)
+        return self._memoized("kernels-" + family, build)
 
     def entry_args(self, args: Sequence[object]) -> List[object]:
         """Pad user arguments with zeros for hidden order-token params."""

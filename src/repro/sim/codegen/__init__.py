@@ -21,12 +21,12 @@ window    ``build_plans(program)`` block plans           vn, ooo, seqdf
 vector    ``build_vec_plans(program)`` + loop analysis   datapar
 ========  =============================================  ==============
 
-Artifacts (source + marshalled code object) are content-addressed in
-the :class:`~repro.harness.cache.CompileCache` under kind
-``"kernels-<family>"``, so ``pool.precompile_specs`` generates them
-once in the sweep parent and every forked worker inherits the warm
-compiled module. Set ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump the
-generated source for inspection.
+Compiled modules live in the per-process compile memo of
+:mod:`repro.harness.runner` under kind ``"kernels-<family>"``, so
+``pool.precompile_specs`` generates them once in the sweep parent and
+every forked worker inherits the warm compiled module. Set
+``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump the generated source for
+inspection.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from repro.sim.codegen.core import (
     KernelModule,
     compile_kernels,
     dump_kernel_source,
-    load_kernels,
-    memoized_kernels,
 )
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
     "compile_kernels",
     "dump_kernel_source",
     "generate_source",
-    "load_kernels",
-    "memoized_kernels",
 ]
 
 
@@ -58,7 +54,8 @@ def generate_source(family: str, compiled) -> str:
     :class:`~repro.harness.runner.CompiledWorkload`).
 
     Deterministic in the lowered plan: same program fingerprint, same
-    source -- which is what makes the cache artifact shareable.
+    source -- which is what lets every instance of one program share
+    one compiled module.
     """
     if family == "tagged":
         from repro.sim.codegen.tagged import generate

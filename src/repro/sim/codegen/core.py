@@ -16,12 +16,10 @@ cycle loop. This module holds what they share:
   entry point: a ``_bind_env(E)`` prelude plus ``_bind_<k>(env)``
   functions of at most :data:`CHUNK_NODES` nodes each, separated by
   :data:`CHUNK_MARK` comment lines;
-* :class:`KernelModule` + :func:`compile_kernels` /
-  :func:`load_kernels` -- compile generated source once per process,
-  chunk by chunk, pack it into a picklable cache artifact (source +
-  marshalled tuple of code objects) and restore it, recompiling from
-  source when the marshal payload comes from a different interpreter
-  version.
+* :class:`KernelModule` + :func:`compile_kernels` -- compile
+  generated source chunk by chunk into a bindable module (memoized per
+  program and family by
+  :meth:`~repro.harness.runner.CompiledWorkload.kernels`).
 
 Chunked compilation bounds peak memory: ``compile()`` holds the whole
 AST of its input at once, about 100 bytes per source byte, so a
@@ -33,17 +31,15 @@ Generated source is a *pure deterministic function of the lowered
 plan*: no runtime object ever leaks into it. Runtime state (wait
 stores, the pending buffer, memory, tag pools) is bound afterwards by
 calling the module's ``bind_*`` entry points with the live engine, so
-one cached artifact serves every run of the same program. Set
+one compiled module serves every run of the same program. Set
 ``TYR_REPRO_DUMP_KERNELS=<dir>`` to dump each generated module to
 ``<dir>/<family>-<fingerprint12>.py`` for inspection.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import re
-import sys
 from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +48,7 @@ from repro.ir.ops import Op
 #: Environment variable naming a directory to dump generated source to.
 DUMP_ENV = "TYR_REPRO_DUMP_KERNELS"
 
-#: Kernel families (also the ``CompileCache`` kind suffixes).
+#: Kernel families (also the compile-memo kind suffixes).
 FAMILIES = ("tagged", "flat", "window", "vector")
 
 #: Top-level comment line that starts a separately compiled chunk.
@@ -292,13 +288,12 @@ class KernelModule:
     objects, executed in order into ``ns``.
     """
 
-    __slots__ = ("family", "fingerprint", "source", "code", "ns")
+    __slots__ = ("family", "fingerprint", "code", "ns")
 
-    def __init__(self, family: str, fingerprint: str, source: str,
+    def __init__(self, family: str, fingerprint: str,
                  code: Tuple[CodeType, ...]) -> None:
         self.family = family
         self.fingerprint = fingerprint
-        self.source = source
         self.code = code
         self.ns: Dict[str, object] = {
             "__name__": module_name(family, fingerprint),
@@ -306,78 +301,11 @@ class KernelModule:
         for chunk in code:
             exec(chunk, self.ns)
 
-    def artifact(self) -> Dict[str, object]:
-        """The picklable ``CompileCache`` payload: source of record
-        plus the marshalled code tuple as a fast path for the same
-        interpreter version."""
-        return {
-            "family": self.family,
-            "source": self.source,
-            "marshal": marshal.dumps(self.code),
-            "python": tuple(sys.version_info[:2]),
-        }
-
-
-#: Per-process memo: (family, fingerprint) -> KernelModule. Forked
-#: sweep workers inherit warm entries from ``pool.precompile_specs``.
-_MODULE_MEMO: Dict[Tuple[str, str], KernelModule] = {}
-
-
-def memoized_kernels(family: str,
-                     fingerprint: str) -> Optional[KernelModule]:
-    """The module this process already compiled for ``(family,
-    fingerprint)``, if any: generated source is a pure function of the
-    plan, so a hit needs no regeneration."""
-    return _MODULE_MEMO.get((family, fingerprint))
-
 
 def compile_kernels(source: str, family: str,
                     fingerprint: str) -> KernelModule:
-    """Compile generated ``source`` into a bindable module (memoized
-    per process)."""
-    key = (family, fingerprint)
-    mod = _MODULE_MEMO.get(key)
-    if mod is None:
-        dump_kernel_source(source, family, fingerprint)
-        code = compile_chunks(source, module_name(family, fingerprint))
-        mod = KernelModule(family, fingerprint, source, code)
-        _MODULE_MEMO[key] = mod
-    return mod
-
-
-def load_kernels(artifact: Dict[str, object], family: str,
-                 fingerprint: str) -> Optional[KernelModule]:
-    """Restore a cached artifact; None if it is not usable at all.
-
-    The marshalled code object is interpreter-version specific; on any
-    mismatch or corruption the source of record is recompiled instead,
-    so a cache directory can be shared across Python versions.
-    """
-    key = (family, fingerprint)
-    mod = _MODULE_MEMO.get(key)
-    if mod is not None:
-        return mod
-    if not isinstance(artifact, dict):
-        return None
-    source = artifact.get("source")
-    if not isinstance(source, str):
-        return None
-    code = None
-    if artifact.get("python") == tuple(sys.version_info[:2]):
-        try:
-            code = marshal.loads(artifact["marshal"])
-        except (KeyError, ValueError, TypeError, EOFError):
-            code = None
-        if not (isinstance(code, tuple) and code
-                and all(isinstance(c, CodeType) for c in code)):
-            code = None
-    try:
-        dump_kernel_source(source, family, fingerprint)
-        if code is None:
-            code = compile_chunks(source,
-                                  module_name(family, fingerprint))
-        mod = KernelModule(family, fingerprint, source, code)
-    except (SyntaxError, ValueError, TypeError):
-        return None
-    _MODULE_MEMO[key] = mod
-    return mod
+    """Compile generated ``source`` into a bindable module, dumping
+    the source first when ``$TYR_REPRO_DUMP_KERNELS`` is set."""
+    dump_kernel_source(source, family, fingerprint)
+    code = compile_chunks(source, module_name(family, fingerprint))
+    return KernelModule(family, fingerprint, code)

@@ -14,7 +14,10 @@ Termination is guaranteed by construction: for-loop trip counts are
 bounded small, and while loops always decrement an explicit bounded
 counter. Indices into the single memory array are masked to its
 power-of-two length, and division is never generated, so no run can
-fault.
+fault. Values stay bounded too: every product is emitted as
+``(a * b) & 0xFFFF``, so no loop can square a value over and over;
+the other operators widen a value by at most one bit per executed op,
+which keeps every run's big-integer arithmetic cheap.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ from repro.frontend.ast import (
 #: The memory array's (power-of-two) length.
 MEM_LEN = 16
 
+#: Mask applied to every generated product (see the module docstring).
+PRODUCT_MASK = 0xFFFF
+
 _SAFE_BINOPS = ("+", "-", "*", "min", "max", "&", "|", "^")
 _COMPARES = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -72,8 +78,11 @@ class _Generator:
         kind = rng.random()
         if kind < 0.55:
             op = rng.choice(_SAFE_BINOPS)
-            return BinOp(op, self.expr(vars_, depth + 1),
+            node = BinOp(op, self.expr(vars_, depth + 1),
                          self.expr(vars_, depth + 1))
+            if op == "*":
+                return BinOp("&", node, Const(PRODUCT_MASK))
+            return node
         if kind < 0.75:
             op = rng.choice(_COMPARES)
             return BinOp(op, self.expr(vars_, depth + 1),

@@ -1,5 +1,5 @@
-"""Cache garbage collection: LRU-by-mtime pruning of the result and
-compile caches, plus the ``tyr-repro cache gc`` CLI."""
+"""Cache garbage collection: LRU-by-mtime pruning of the result
+cache, plus the ``tyr-repro cache gc`` CLI."""
 
 import os
 import time
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.cli import main, parse_age, parse_size
-from repro.harness.cache import CompileCache, ResultCache, plan_key
+from repro.harness.cache import ResultCache
 
 
 def _fill(cache, n, size=1000):
@@ -62,18 +62,6 @@ def test_get_bumps_mtime_so_hits_survive_lru(tmp_path):
     assert stats["removed"] == 1
     assert cache.get(keys[0]) is not None
     assert cache.get(keys[1]) is None
-
-
-def test_gc_covers_nested_plan_cache(tmp_path):
-    """A ResultCache gc walks recursively, so the ``plans/`` compile
-    cache nested under the same root is pruned by the same command."""
-    cache = ResultCache(str(tmp_path))
-    plans = CompileCache(os.path.join(str(tmp_path), "plans"))
-    plans.put_plan("f" * 64, "flat", {"big": "artifact"})
-    _backdate(plans, plan_key("f" * 64, "flat"), 3600)
-    stats = cache.gc(max_age=60)
-    assert stats["removed"] == 1
-    assert plans.get_plan("f" * 64, "flat") is None
 
 
 def test_gc_empty_cache_is_harmless(tmp_path):

@@ -1,9 +1,12 @@
-"""Unit tests for the parallel job runner and the result cache."""
+"""Unit tests for the parallel job runner, the result cache and the
+compile memo."""
+
+import os
 
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.harness.cache import CompileCache, ResultCache, plan_key
+from repro.harness.cache import ResultCache
 from repro.harness.pool import (
     RunSpec,
     cache_key,
@@ -13,7 +16,6 @@ from repro.harness.pool import (
     run_one,
     run_specs,
     spec_for,
-    workload_for,
 )
 from repro.harness.sweep import sweep_tags
 from repro.sim.metrics import ExecutionResult
@@ -118,62 +120,66 @@ def test_corrupt_entry_is_a_miss(tmp_path):
                         run_one(spec))
 
 
-def test_plan_key_sensitivity():
-    assert plan_key("abc", "tagged") == plan_key("abc", "tagged")
-    assert plan_key("abc", "tagged") != plan_key("abc", "flat")
-    assert plan_key("abc", "tagged") != plan_key("abd", "tagged")
+def test_instances_share_lowerings(monkeypatch):
+    """The compile memo: a second workload of the same program gets
+    the first's tagged and flat graphs (the very same objects) without
+    elaborating or flattening, and runs on them bit-identically."""
+    import repro.harness.runner as runner
+
+    first = build_workload("dmv", "tiny")
+    tagged, flat = first.compiled.tagged, first.compiled.flat
+    cold = [first.run_checked(m, tags=4) for m in ("tyr", "ordered")]
+
+    def rebuilt(program):
+        raise AssertionError("memoized lowering rebuilt")
+
+    monkeypatch.setattr(runner, "elaborate", rebuilt)
+    monkeypatch.setattr(runner, "flatten", rebuilt)
+    second = build_workload("dmv", "tiny")
+    assert second.compiled is not first.compiled
+    assert second.compiled.tagged is tagged
+    assert second.compiled.flat is flat
+    warm = [second.run_checked(m, tags=4) for m in ("tyr", "ordered")]
+    for a, b in zip(cold, warm):
+        assert _same_result(a, b)
 
 
-def test_compile_cache_round_trips_lowerings(tmp_path):
-    """A second workload with the same program reuses stored
-    lowerings, and runs on them bit-identically."""
-    plans = CompileCache(str(tmp_path))
-    first = build_workload("dmv", "tiny").compiled
-    first.plan_cache = plans
-    first.tagged, first.flat  # noqa: B018 -- populate the store
-    assert (plans.hits, plans.misses) == (0, 2)
+def test_precompile_materializes_machine_artifacts(monkeypatch):
+    """After precompile_specs, every lowering and kernel module the
+    specs need is in the compile memo: a fresh workload of the same
+    program (as a forked worker would rebuild) compiles nothing."""
+    import repro.harness.runner as runner
+    from repro.sim import codegen
 
-    second = build_workload("dmv", "tiny").compiled
-    second.plan_cache = plans
-    second.tagged, second.flat  # noqa: B018 -- now served from disk
-    assert (plans.hits, plans.misses) == (2, 2)
-
-    wl = build_workload("dmv", "tiny")
-    direct = wl.run_checked("tyr", tags=4)
-    wl_cached = build_workload("dmv", "tiny")
-    wl_cached.compiled.plan_cache = plans
-    cached = wl_cached.run_checked("tyr", tags=4)
-    assert _same_result(direct, cached)
-
-
-def test_precompile_materializes_machine_artifacts(tmp_path):
     wl = build_workload("dmv", "tiny")
     specs = [spec_for(wl, "tyr", {"tags": 4}),
              spec_for(wl, "ordered", {}),
              spec_for(wl, "vn", {})]
-    plans = CompileCache(str(tmp_path))
-    precompile_specs(specs, plans)
-    # spec_for memoizes by identity key, so read artifacts off the
-    # instance precompile actually touched.
-    compiled = workload_for(specs[0]).compiled
-    assert compiled._tagged is not None
-    assert compiled._flat is not None
-    assert plans.get_plan(compiled.fingerprint, "tagged") is not None
-    assert plans.get_plan(compiled.fingerprint, "flat") is not None
+    precompile_specs(specs)
+
+    def rebuilt(*args):
+        raise AssertionError("precompiled lowering rebuilt")
+
+    monkeypatch.setattr(runner, "elaborate", rebuilt)
+    monkeypatch.setattr(runner, "flatten", rebuilt)
+    monkeypatch.setattr(codegen, "generate_source", rebuilt)
+    fresh = build_workload("dmv", "tiny").compiled
+    fresh.tagged, fresh.flat  # noqa: B018 -- memo hits
+    for family in ("tagged", "flat", "window"):
+        fresh.kernels(family)
+    for spec in specs:
+        assert _same_result(run_one(spec), wl.run_checked(
+            spec.machine, **dict(spec.config)))
 
 
-def test_result_cache_root_hosts_plan_store(tmp_path):
-    """run_specs with a result cache persists lowerings under
-    <root>/plans without being asked."""
-    import os
-
+def test_result_cache_root_holds_results_only(tmp_path):
+    """Compiled lowerings never reach the disk: a cached sweep writes
+    result entries and no ``plans/`` store."""
     cache = ResultCache(str(tmp_path))
     wl = build_workload("dmv", "tiny")
     run_specs([spec_for(wl, "tyr", {"tags": 4})], cache=cache)
-    plans_root = os.path.join(cache.root, "plans")
-    assert os.path.isdir(plans_root)
-    assert CompileCache(plans_root).get_plan(
-        wl.compiled.fingerprint, "tagged") is not None
+    assert not os.path.exists(os.path.join(cache.root, "plans"))
+    assert os.listdir(cache.root)
 
 
 def test_failures_carry_run_context():

@@ -128,6 +128,10 @@ def test_vn_never_exceeds_one_ipc(seed):
     st.integers(min_value=-8, max_value=8),
     st.integers(min_value=-8, max_value=8),
 ))
+# Seed 4146 fed -4 into a triple-nested loop computing x * (6 - x):
+# before products were masked the value squared 64 times and the
+# reference interpreter's big-integer multiplies never finished.
+@example(seed=4146, args=(-4, 5))
 @_SETTINGS
 def test_argument_values_do_not_break_machines(seed, args):
     """Vary entry arguments, not just program shape."""

@@ -2,13 +2,12 @@
 
 The differential fuzz suite (tests/properties) pins bit-identity on
 random programs; these tests cover the machinery around the generators:
-source determinism, cache artifacts and their failure fallbacks, the
-``TYR_REPRO_DUMP_KERNELS`` hook, and the rules for when engines fall
-back to the closure interpreters.
+source determinism, chunked compilation, the compile memo that shares
+one module per program, the ``TYR_REPRO_DUMP_KERNELS`` hook, and the
+rules for when engines fall back to the closure interpreters.
 """
 
 import ast
-import pickle
 import re
 import tracemalloc
 import types
@@ -16,13 +15,11 @@ import types
 import pytest
 
 from repro.errors import DeadlockError
-from repro.harness.cache import CompileCache
 from repro.harness.pool import precompile_specs, spec_for
 from repro.harness.runner import KERNEL_FAMILY, CompiledWorkload
 from repro.sim import codegen
 from repro.sim.codegen.core import (CHUNK_MARK, CHUNK_NODES, DUMP_ENV,
-                                    FAMILIES, compile_chunks,
-                                    module_name)
+                                    FAMILIES, compile_chunks)
 from repro.sim.profile import RunProfile
 from repro.sim.queued import QueuedEngine
 from repro.sim.tagged import TaggedEngine, UnboundedGlobalPolicy
@@ -58,69 +55,7 @@ def test_source_has_bind_entry_points(wl):
             assert "def run_loop(E)" in source, family
 
 
-# ------------------------------------------------------------- artifacts
-
-
-def test_artifact_round_trip(wl):
-    source = codegen.generate_source("tagged", wl.compiled)
-    mod = codegen.compile_kernels(source, "tagged", "rt-original")
-    art = pickle.loads(pickle.dumps(mod.artifact()))
-    assert art["family"] == "tagged"
-    assert art["source"] == source
-    # A distinct fingerprint forces the restore path past the
-    # per-process module memo.
-    restored = codegen.load_kernels(art, "tagged", "rt-restored")
-    assert restored is not None
-    assert restored.ns["__name__"] == module_name("tagged",
-                                                  "rt-restored")
-    assert "bind_fires" in restored.ns and "run_loop" in restored.ns
-
-
-def test_corrupt_marshal_recompiles_from_source(wl):
-    source = codegen.generate_source("flat", wl.compiled)
-    art = codegen.compile_kernels(source, "flat",
-                                  "rt-marshal").artifact()
-    art["marshal"] = b"not a code object"
-    mod = codegen.load_kernels(art, "flat", "rt-marshal-corrupt")
-    assert mod is not None
-    assert "bind_fires" in mod.ns
-
-
-def test_unusable_artifacts_return_none():
-    assert codegen.load_kernels("junk", "tagged", "rt-junk-1") is None
-    assert codegen.load_kernels({"source": 42}, "tagged",
-                                "rt-junk-2") is None
-    assert codegen.load_kernels({"source": "def bind_fires(E:",
-                                 "python": (0, 0)},
-                                "tagged", "rt-junk-3") is None
-
-
-@pytest.mark.parametrize("damage", ["python", "marshal", "one-code"])
-def test_stale_artifacts_recompile_in_chunks(wl, damage):
-    """A mismatched ``python`` tag, a corrupt payload, or a pre-chunk
-    single code object all fall back to the chunked source recompile,
-    and the restored kernels still run bit-identically."""
-    import marshal
-
-    source = codegen.generate_source("tagged", wl.compiled)
-    art = codegen.compile_kernels(source, "tagged",
-                                  "rt-stale").artifact()
-    if damage == "python":
-        art["python"] = (2, 7)
-    elif damage == "marshal":
-        art["marshal"] = art["marshal"][:-7]
-    else:
-        art["marshal"] = marshal.dumps(compile(source, "m", "exec"))
-    mod = codegen.load_kernels(art, "tagged", f"rt-stale-{damage}")
-    assert mod is not None
-    assert isinstance(mod.code, tuple)
-    assert len(mod.code) == source.count(CHUNK_MARK) + 1
-    cw = CompiledWorkload(wl.compiled.program)
-    cw._kernels["tagged"] = mod
-    gen = cw.run("tyr", wl.fresh_memory(), wl.args)
-    ref = cw.run("tyr", wl.fresh_memory(), wl.args, codegen=False)
-    assert (gen.cycles, gen.instructions, gen.peak_live, gen.results) \
-        == (ref.cycles, ref.instructions, ref.peak_live, ref.results)
+# ------------------------------------------------------------- compiling
 
 
 def _chunks(source):
@@ -171,7 +106,8 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
     monkeypatch.setenv(DUMP_ENV, str(tmp_path))
     for family in FAMILIES:
         source = codegen.generate_source(family, wl.compiled)
-        # Fresh fingerprint: memoized modules skip the dump.
+        # compile_kernels dumps every module it compiles; the memo in
+        # CompiledWorkload.kernels compiles each program's module once.
         codegen.compile_kernels(source, family, "dumptest0000")
         dumped = tmp_path / f"{family}-dumptest0000.py"
         # One whole, valid module: the chunk markers are comments.
@@ -180,20 +116,27 @@ def test_dump_kernels_env(wl, monkeypatch, tmp_path):
         assert CHUNK_MARK in source
 
 
-def test_kernels_consult_plan_cache(wl, tmp_path, monkeypatch):
-    cache = CompileCache(str(tmp_path))
-    first = CompiledWorkload(wl.compiled.program)
-    first.plan_cache = cache
-    mod = first.kernels("tagged")
-    stored = cache.get_plan(first.fingerprint, "kernels-tagged")
-    assert stored is not None and stored["source"] == mod.source
-    # A second workload must load the artifact, never regenerate.
+def test_instances_share_kernel_modules(monkeypatch):
+    """Every CompiledWorkload of one program gets the same compiled
+    module per family from the compile memo: a second instance never
+    regenerates source, and runs through the shared kernels exactly as
+    the first instance does."""
+    first = build_workload("dmv", "tiny")
+    mods = {family: first.compiled.kernels(family)
+            for family in FAMILIES}
+    machines = ("tyr", "ordered", "seqdf", "datapar")
+    cold = [first.run_checked(m) for m in machines]
     monkeypatch.setattr(
         codegen, "generate_source",
-        lambda *a: pytest.fail("regenerated despite cached artifact"))
-    second = CompiledWorkload(wl.compiled.program)
-    second.plan_cache = cache
-    assert second.kernels("tagged").source == mod.source
+        lambda *a: pytest.fail("regenerated a memoized module"))
+    second = build_workload("dmv", "tiny")
+    assert second.compiled is not first.compiled
+    for family, mod in mods.items():
+        assert second.compiled.kernels(family) is mod, family
+    for machine, a in zip(machines, cold):
+        b = second.run_checked(machine)
+        assert (a.cycles, a.instructions, a.peak_live, a.results) == \
+            (b.cycles, b.instructions, b.peak_live, b.results), machine
 
 
 # -------------------------------------------------------------- fallback
